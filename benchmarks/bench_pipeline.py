@@ -542,106 +542,14 @@ def compare_backends(paillier_updates=200, kernel_ops=400, seed=1234):
     return result
 
 
-# -- verify <-> anchor overlap ----------------------------------------------
-
 def _wal_sha256(state_dir):
-    """sha256 over every WAL segment, oldest first (byte-equality
-    pinning between schedules)."""
+    """sha256 over every WAL segment, oldest first."""
     wal_dir = os.path.join(state_dir, "wal")
     digest = hashlib.sha256()
     for name in sorted(os.listdir(wal_dir)):
         with open(os.path.join(wal_dir, name), "rb") as handle:
             digest.update(handle.read())
     return digest.hexdigest()
-
-
-#: Overlap pricing menu: the group-commit WAL and the snapshotting
-#: variant (snapshots run inside the deferred commit, so they are the
-#: best case for hiding commit latency behind verify work).
-OVERLAP_MODES = [
-    ("wal", lambda d: Durability.wal(d)),
-    ("wal+snapshot",
-     lambda d: Durability.wal_with_snapshots(d, snapshot_every=100)),
-]
-
-
-def _run_overlap_schedule(engine, make_policy, n_updates, chunk, pipelined):
-    """One timed run of either schedule over a fresh state directory.
-
-    Returns ``(seconds, root, wal_sha, extras)`` where extras carries
-    the schedule-specific counters (fsync time resp. overlap count).
-    """
-    with tempfile.TemporaryDirectory(prefix="bench-overlap-") as tmp:
-        framework = build(engine, durability=make_policy(tmp))
-        if engine == "paillier":
-            framework.engine.precompute(n_updates)
-        stream = make_stream(n_updates)
-        batches = [stream[i:i + chunk] for i in range(0, n_updates, chunk)]
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            if pipelined:
-                framework.submit_pipelined(batches)
-            else:
-                for batch in batches:
-                    framework.submit_many(batch)
-            seconds = time.perf_counter() - start
-        finally:
-            gc.enable()
-        framework.close()
-        root = framework.ledger.digest().root
-        wal_sha = _wal_sha256(tmp)
-        if pipelined:
-            extras = {"overlapped_commits": framework.metrics.counter_value(
-                "pipeline.overlapped_commits")}
-        else:
-            extras = {"fsync_seconds": framework.metrics.timer_total(
-                "durability.fsync")}
-    return seconds, root, wal_sha, extras
-
-
-def compare_overlap(engine="paillier", n_updates=240, chunk=40, repeats=3):
-    """Price the pipelined scheduler: ``submit_pipelined`` (batch N+1's
-    verify prep overlapping batch N's commit fsync) vs the serial
-    chunked ``submit_many`` schedule, per durability mode.
-
-    Asserts *every* overlapped run reproduces the serial schedule's
-    ledger root *and its exact WAL bytes* — the overlap must be
-    invisible to everything but the clock.  Timing takes the best of
-    ``repeats`` runs per schedule: fsync latency on shared hosts is
-    the noisiest input here, and a single unlucky serial (or lucky
-    pipelined) sample would otherwise swing the ratio both ways.
-    """
-    results = []
-    for label, make_policy in OVERLAP_MODES:
-        row = {"mode": label, "engine": engine, "updates": n_updates,
-               "chunk": chunk, "repeats": repeats}
-        serial_root = serial_wal = None
-        for schedule, key in (("serial", "serial_seconds"),
-                              ("pipelined", "pipelined_seconds")):
-            best = None
-            for _ in range(repeats):
-                seconds, root, wal_sha, extras = _run_overlap_schedule(
-                    engine, make_policy, n_updates, chunk,
-                    pipelined=schedule == "pipelined")
-                if schedule == "serial" and serial_root is None:
-                    serial_root, serial_wal = root, wal_sha
-                assert root == serial_root, \
-                    f"{schedule} run changed the ledger root under {label!r}"
-                assert wal_sha == serial_wal, \
-                    f"{schedule} run changed the WAL bytes under {label!r}"
-                if best is None or seconds < best:
-                    best = seconds
-                    row.update(extras)
-            row[key] = best
-
-        row["serial_per_sec"] = n_updates / row["serial_seconds"]
-        row["pipelined_per_sec"] = n_updates / row["pipelined_seconds"]
-        row["speedup"] = row["serial_seconds"] / row["pipelined_seconds"]
-        row["root"] = serial_root.hex()
-        results.append(row)
-    return results
 
 
 # -- profiler overhead -------------------------------------------------------
@@ -964,8 +872,7 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
                          include_durability=False, durability_updates=600,
                          shard_counts=(), sharded_updates=2000,
                          include_backends=True, backend_updates=200,
-                         include_overlap=False, overlap_updates=240,
-                         overlap_chunk=40, include_profiler=True,
+                         include_profiler=True,
                          profiler_updates=400, profile_out="",
                          include_encoding=True, encoding_payloads=2000,
                          encoding_updates=600):
@@ -989,10 +896,6 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
     backends = {}
     if include_backends:
         backends = compare_backends(paillier_updates=backend_updates)
-    overlap = []
-    if include_overlap:
-        overlap = compare_overlap(n_updates=overlap_updates,
-                                  chunk=overlap_chunk)
     profiler = {}
     if include_profiler:
         profiler = compare_profiler_overhead(n_updates=profiler_updates,
@@ -1008,8 +911,7 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
                        "execution layer (process pool) vs serial on the "
                        "Paillier verify path, the fast-math backend and "
                        "exponentiation kernels (fixed-base, multi-exp) "
-                       "against builtin pow, plus (opt-in) the pipelined "
-                       "verify/anchor overlap schedule, the durability "
+                       "against builtin pow, plus (opt-in) the durability "
                        "layer's fsync cost per mode and the sharded "
                        "front-end's scaling across shard counts, plus "
                        "the sampling profiler's overhead row (on vs "
@@ -1023,7 +925,6 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
         "durability": durability,
         "sharded": sharded,
         "backends": backends,
-        "overlap": overlap,
         "profiler": profiler,
         "encoding": encoding,
     }
@@ -1130,32 +1031,6 @@ def print_backend_table(artifact):
         print(f"gmpy2 verify-kernel speedup: "
               f"{backends['gmpy2_verify_kernel_speedup']:.2f}x "
               f"(pipeline: {backends['gmpy2_pipeline_speedup']:.2f}x)")
-
-
-def overlap_rows(artifact):
-    return [
-        [
-            r["mode"], r["updates"],
-            f"{r['serial_per_sec']:.0f}/s",
-            f"{r['pipelined_per_sec']:.0f}/s",
-            f"{r['speedup']:.2f}x",
-            str(r["overlapped_commits"]),
-        ]
-        for r in artifact.get("overlap", [])
-    ]
-
-
-def print_overlap_table(artifact):
-    rows = overlap_rows(artifact)
-    if not rows:
-        return
-    print_table(
-        "E1-overlap: pipelined verify/anchor schedule vs serial "
-        "(submit_pipelined, paillier)",
-        ["mode", "updates", "serial", "pipelined", "speedup",
-         "overlapped"],
-        rows,
-    )
 
 
 def parallel_rows(artifact):
@@ -1357,15 +1232,6 @@ def main(argv=None):
     parser.add_argument("--backend-updates", type=int, default=200,
                         help="Paillier stream length per backend for the "
                              "backend comparison")
-    parser.add_argument("--overlap", action="store_true",
-                        help="also price the pipelined verify/anchor "
-                             "overlap schedule (submit_pipelined) against "
-                             "serial chunked submit_many, asserting ledger "
-                             "root and WAL bytes are identical")
-    parser.add_argument("--overlap-updates", type=int, default=240,
-                        help="stream length for the overlap comparison")
-    parser.add_argument("--overlap-chunk", type=int, default=40,
-                        help="batch size for the overlap comparison")
     parser.add_argument("--no-profiler", action="store_true",
                         help="skip the sampling-profiler overhead row")
     parser.add_argument("--profiler-updates", type=int, default=400,
@@ -1385,8 +1251,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.updates <= 0 or args.paillier_updates <= 0 \
             or args.durability_updates <= 0 or args.sharded_updates <= 0 \
-            or args.backend_updates <= 0 or args.overlap_updates <= 0 \
-            or args.overlap_chunk <= 0 or args.profiler_updates <= 0 \
+            or args.backend_updates <= 0 or args.profiler_updates <= 0 \
             or args.encoding_payloads <= 0 or args.encoding_updates <= 0:
         parser.error("stream lengths must be positive")
     if args.workers <= 0:
@@ -1403,7 +1268,6 @@ def main(argv=None):
         args.durability_updates = min(args.durability_updates, 200)
         args.sharded_updates = min(args.sharded_updates, 400)
         args.backend_updates = min(args.backend_updates, 60)
-        args.overlap_updates = min(args.overlap_updates, 120)
         args.profiler_updates = min(args.profiler_updates, 200)
         args.encoding_payloads = min(args.encoding_payloads, 500)
         args.encoding_updates = min(args.encoding_updates, 200)
@@ -1420,9 +1284,6 @@ def main(argv=None):
         sharded_updates=args.sharded_updates,
         include_backends=not args.no_backends,
         backend_updates=args.backend_updates,
-        include_overlap=args.overlap,
-        overlap_updates=args.overlap_updates,
-        overlap_chunk=args.overlap_chunk,
         include_profiler=not args.no_profiler,
         profiler_updates=args.profiler_updates,
         profile_out=args.profile_out,
@@ -1437,7 +1298,6 @@ def main(argv=None):
     )
     print_encoding_table(artifact)
     print_backend_table(artifact)
-    print_overlap_table(artifact)
     print_parallel_table(artifact)
     print_sharded_table(artifact)
     print_durability_table(artifact)
@@ -1477,17 +1337,6 @@ def main(argv=None):
             f"{backends['gmpy2_verify_kernel_speedup']:.2f}x below the "
             f"2x bar"
         )
-    for result in artifact.get("overlap", []):
-        # On hosts where fsync is effectively free (fast container
-        # filesystems) there is nothing to hide and the pipelined
-        # schedule can only pay its thread-handoff cost, so this is a
-        # no-pathological-regression floor, not a speedup bar — the
-        # win itself shows up wherever fsync_seconds is material.
-        if result["speedup"] < 0.85:
-            raise SystemExit(
-                f"pipelined overlap schedule slower than serial under "
-                f"{result['mode']!r} ({result['speedup']:.2f}x)"
-            )
     encoding_row = artifact.get("encoding") or {}
     if encoding_row:
         # The tentpole gate: one fast encode + fragment splices must

@@ -53,7 +53,7 @@ class Counter:
 
 class Gauge:
     """A point-in-time value that can move both ways (queue depths,
-    committer lag, pool sizes) — unlike :class:`Counter`, ``set`` is
+    committed lag, pool sizes) — unlike :class:`Counter`, ``set`` is
     the primary write and the latest value is the whole story."""
 
     def __init__(self, name: str):
@@ -283,28 +283,9 @@ class MetricsRegistry:
                 "per_sec": (n / timer.total) if timer.total else 0.0,
             }
             total_seconds += timer.total
-        report = {
+        return {
             "updates": count,
             "stages": stages,
             "total_seconds": total_seconds,
             "updates_per_sec": (count / total_seconds) if total_seconds else 0.0,
         }
-        # Pipelined (verify↔anchor overlap) runs record their committer
-        # telemetry under pipeline.*; surface it so overlap wins are
-        # measured, not inferred.  The section appears only once a
-        # PipelinedScheduler has been created, keeping the report shape
-        # stable for plain submit/submit_many runs.
-        if "pipeline.deferred_commits" in self._counters:
-            report["pipelined"] = {
-                "deferred_commits":
-                    self.counter_value("pipeline.deferred_commits"),
-                "overlapped_commits":
-                    self.counter_value("pipeline.overlapped_commits"),
-                "committer_wait_seconds":
-                    self.timer_total("pipeline.committer_wait"),
-                "committer_lag_seconds":
-                    self.timer_total("pipeline.committer_lag"),
-                "committer_queue_depth":
-                    self.gauge_value("pipeline.committer_queue_depth"),
-            }
-        return report

@@ -9,15 +9,15 @@ saw.  This module makes ordering an explicit, swappable layer.  A
 driver (DurabilityStage, ApplyStage, AnchorStage) runs only on that
 stream:
 
-    submit_many ──▶ driver.propose_batch(payload)
+    ReplicatedShard.submit_many ──▶ driver.propose_batch(payload)
                          │   (ordering: local / Paxos / PBFT / SharPer
                          │    over SimNetwork)
                          ▼
                     driver.committed_stream() ──▶ DecidedBatch(seq, payload)
                          │
                          ▼
-                    Pipeline.run_decided_batch  (auth → verify →
-                    durability → apply → anchor, per replica)
+                    replica.submit_many ──▶ Pipeline.run_batch  (auth →
+                    verify → durability → apply → anchor, per replica)
 
 Four drivers:
 

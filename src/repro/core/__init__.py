@@ -11,8 +11,8 @@
   registered by authorities, updates verified, applied, and anchored
   on an append-only ledger (RC4);
 * :mod:`repro.core.pipeline` — the update path itself as composable
-  stages (auth → route → verify → durability → apply → anchor) with
-  uniform ``run_one`` / ``run_batch`` interfaces;
+  stages (auth → route → verify → durability → apply → anchor)
+  behind one batch driver;
 * :mod:`repro.core.sharded` — table-partitioned scale-out:
   :class:`ShardedPReVer` over N independent shards with a combined
   root-of-roots commitment and fail-closed cross-shard escalation;

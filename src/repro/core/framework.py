@@ -16,15 +16,16 @@ ledger so any participant can audit the full decision history.
 The pipeline itself — the stage sequence, its tracing, timing,
 durability, and batch amortizations — lives in
 :mod:`repro.core.pipeline`; :class:`PReVer` holds the configuration
-(databases, engine, ledger, policy, durability) and delegates both
-submission paths to one shared :class:`~repro.core.pipeline.Pipeline`:
+(databases, engine, ledger, policy, durability) and delegates
+submission to the one driver of its
+:class:`~repro.core.pipeline.Pipeline`:
 
-* :meth:`PReVer.submit` — one update, anchored immediately;
 * :meth:`PReVer.submit_many` — a batch: constraint checks are routed
   through a table index and incremental aggregate cache, and the whole
   batch is anchored with one Merkle extension
   (:meth:`~repro.ledger.central.CentralLedger.append_batch`), while
-  preserving per-entry sequence numbers, digests and inclusion proofs.
+  preserving per-entry sequence numbers, digests and inclusion proofs;
+* :meth:`PReVer.submit` — a batch of one.
 
 To scale past one instance, see
 :class:`repro.core.sharded.ShardedPReVer`, which partitions tables
@@ -71,7 +72,6 @@ class PReVer:
         executor=None,
         durability: Optional[Durability] = None,
         profiler=None,
-        replication=None,
     ):
         if not databases:
             raise PReVerError("PReVer needs at least one database")
@@ -165,10 +165,9 @@ class PReVer:
                     tracer=self.tracer,
                 )
         # Always-on profiling: default None (and profiler_from_env()
-        # returns None unless REPRO_PROFILE is set), so the unprofiled
-        # pipeline path is the exact pre-profiler code.  When present,
+        # returns None unless REPRO_PROFILE is set).  When present,
         # the sampler starts now and stage markers in the pipeline
-        # attribute samples to authenticate/verify/anchor/....
+        # attribute samples to authenticate/verify/anchor_batch/....
         if profiler is None:
             from repro.obs.profiler import profiler_from_env
 
@@ -176,23 +175,12 @@ class PReVer:
         self.profiler = profiler
         if self.profiler is not None:
             self.profiler.start()
-        # Replication: the pluggable commit point (repro.consensus
-        # .driver).  ``None`` is the implicit LocalDriver — the exact
-        # pre-driver code path, byte-identical decisions/roots/WAL.
-        # With a driver attached, submit/submit_many propose batches
-        # and the pipeline replays only the driver's decided stream.
-        self.replication = replication
-        if self.replication is not None:
-            self.replication.bind_observability(self.metrics, self.tracer)
         # The digest captured by the most recent durable anchor commit;
         # /readyz checks the live ledger still extends it.
         self._last_anchored_digest = None
         # The staged update path (repro.core.pipeline): both submit
-        # APIs below are thin drivers over this one stage sequence.
+        # APIs below feed its one batch driver.
         self.pipeline = Pipeline(self)
-        # Overlap scheduler (repro.core.pipelined), created on first
-        # submit_pipelined() so plain frameworks stay thread-free.
-        self._pipelined = None
 
     # -- step (0): constraint registration -------------------------------
 
@@ -258,8 +246,9 @@ class PReVer:
     # -- steps (1)-(3): the update pipeline ------------------------------------
 
     def submit(self, update: Update) -> UpdateResult:
-        """Run one update through the full Figure-2 pipeline."""
-        return self.pipeline.run_one(update)
+        """Run one update through the full Figure-2 pipeline: a batch
+        of one."""
+        return self.submit_many([update])[0]
 
     def submit_many(self, updates: Sequence[Update],
                     executor=None) -> List[UpdateResult]:
@@ -285,25 +274,6 @@ class PReVer:
             return []
         executor = executor if executor is not None else self.executor
         return self.pipeline.run_batch(updates, executor)
-
-    def submit_pipelined(self, batches: Sequence[Sequence[Update]],
-                         executor=None) -> List[UpdateResult]:
-        """Run a sequence of batches with verify↔anchor overlap.
-
-        Semantically ``[*submit_many(b) for b in batches]`` — same
-        decisions, ledger roots, and WAL bytes — but batch N+1's
-        crypto-heavy prep (batch Schnorr auth, engine contribution
-        encryption) overlaps batch N's group-commit fsync in a
-        background thread, hiding durability latency behind
-        verification work.  See :mod:`repro.core.pipelined` for the
-        schedule and its safety argument.  All commits are drained
-        before returning.
-        """
-        if self._pipelined is None:
-            from repro.core.pipelined import PipelinedScheduler
-
-            self._pipelined = PipelinedScheduler(self)
-        return self._pipelined.submit_batches(batches, executor=executor)
 
     def _apply(self, update: Update) -> None:
         database = self._target_database(update)
@@ -401,17 +371,13 @@ class PReVer:
         return thread
 
     def close(self) -> None:
-        """Drain any in-flight pipelined commit, then flush and fsync
-        the WAL; call before discarding the instance (a no-op with
-        durability off and no pipelined submissions)."""
-        if self._pipelined is not None:
-            self._pipelined.close()
+        """Flush and fsync the WAL and stop the profiler; call before
+        discarding the instance (a no-op with durability and profiling
+        off)."""
         if self._wal is not None:
             self._wal.close()
         if self.profiler is not None:
             self.profiler.stop()
-        if self.replication is not None:
-            self.replication.close()
 
     def _record_result(self, update: Update, outcome: VerificationOutcome,
                        applied: bool, timings: Dict[str, float],

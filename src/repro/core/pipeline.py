@@ -24,14 +24,18 @@ interface:
     incorporation into the target database; apply failures become
     anchored rejections.
 ``AnchorStage``
-    decision payloads onto the append-only ledger — one Merkle append
-    per update (``run_one``) or one extension per batch (``run_batch``).
+    decision payloads onto the append-only ledger — one Merkle
+    extension and one anchor marker per batch (``run_batch``).
 
-:class:`Pipeline` owns the stage sequence and the two drivers the
-framework delegates to.  The decomposition is deliberately invisible:
-decisions, ledger digests, inclusion proofs, WAL bytes, timer names,
-and span shapes are identical to the pre-refactor monolith (pinned by
-``tests/test_pipeline_stages.py``), and the batch path preserves the
+:class:`Pipeline` owns the stage sequence and its one driver,
+:meth:`Pipeline.run_batch`: the only code that logs, applies and
+anchors a submitted update (recovery replays what it logged and
+decides nothing).  ``submit`` is a batch of one, and replication
+(:class:`~repro.core.replicated.ReplicatedShard`) feeds each decided
+batch to every replica through the same driver.  The decomposition is
+deliberately invisible: decisions, ledger digests, inclusion proofs
+and WAL bytes are identical to the pre-refactor monolith (pinned by
+``tests/test_pipeline_stages.py``), and the driver preserves the
 per-update verify→log→apply interleaving that stateful aggregate
 caches depend on — only auth and anchoring are batch-amortized.
 """
@@ -94,8 +98,7 @@ class Stage:
     ``run_batch`` is the batch-amortized variant and defaults to a
     pass (stages without a batch precomputation do their work per
     update inside the driver's walk).  Stages hold no per-update
-    state — everything flows through the context — so one stage
-    sequence serves both submission paths.
+    state — everything flows through the context.
     """
 
     name = "stage"
@@ -413,46 +416,11 @@ class AnchorStage(Stage):
         super().__init__(framework)
         self.durability = durability
 
-    def run_one(self, ctx: UpdateContext) -> None:
-        """Anchor one decision immediately (the ``submit`` path).
-
-        The decision payload is canonically encoded exactly once; the
-        Merkle leaf and the WAL anchor frame both splice that one
-        encoding (encode-once, byte-identical to re-encoding).
-        """
-        fw = self.framework
-        start = fw._wall.now()
-        payload = fw._anchor_payload(ctx.update, ctx.outcome, trace=ctx.trace)
-        encoded = encode_canonical(payload)
-        entry = fw.ledger.append(payload, encoded_payload=encoded)
-        anchor_end = fw._wall.now()
-        ctx.timings["anchor"] = anchor_end - start
-        ctx.sequence = entry.sequence
-        if fw._wal is not None:
-            self.durability.commit([payload], encoded_payloads=[encoded])
-        if ctx.trace is not None:
-            self._close_span(
-                ctx, entry, fw.ledger.digest(),
-                start=start, end=anchor_end, batched=False,
-            )
-
-    def run_batch(self, ctxs: Sequence[UpdateContext], executor,
-                  defer_commit: bool = False):
+    def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
         """Amortized anchoring: one Merkle extension for the whole
         batch (halted contexts included — rejections are decisions
-        too), one anchor marker, identical per-entry sequence numbers
-        and inclusion proofs to the one-by-one path.
-
-        With ``defer_commit=True`` the durability commit (anchor
-        marker + group fsync + maybe snapshot) is *not* run; instead a
-        zero-argument closure performing it is returned, for the
-        pipelined scheduler to overlap with the next batch's verify
-        work.  The ledger digest the marker embeds is captured eagerly
-        here — while this batch's entries are still the frontier — so
-        the WAL bytes are identical to the immediate-commit path no
-        matter when the closure runs.  Returns ``None`` when the
-        commit ran (or durability is off).
-        """
+        too) and one anchor marker, with the per-entry sequence numbers
+        and inclusion proofs one append per decision would give."""
         fw = self.framework
         tracing = fw.tracer.enabled
         start = fw._wall.now()
@@ -469,38 +437,22 @@ class AnchorStage(Stage):
         fw.metrics.timer("pipeline.anchor_batch").record(anchor_elapsed)
         anchor_share = anchor_elapsed / len(ctxs)
         batch_digest = fw.ledger.digest() if tracing else None
-        deferred = None
         if fw._wal is not None:
-            if defer_commit:
-                digest = (batch_digest if batch_digest is not None
-                          else fw.ledger.digest())
-
-                def deferred(payloads=payloads, digest=digest,
-                             encoded=encoded):
-                    """Commit this batch's anchor with its frozen digest."""
-                    self.durability.commit(payloads, digest=digest,
-                                           encoded_payloads=encoded)
-            else:
-                self.durability.commit(payloads, digest=batch_digest,
-                                       encoded_payloads=encoded)
+            self.durability.commit(payloads, digest=batch_digest,
+                                   encoded_payloads=encoded)
         for ctx, entry in zip(ctxs, entries):
             ctx.timings["anchor"] = anchor_share
             ctx.sequence = entry.sequence
             if ctx.trace is not None:
-                self._close_span(
-                    ctx, entry, batch_digest,
-                    start=start, end=anchor_end, batched=True,
-                )
-        return deferred
+                self._close_span(ctx, entry, batch_digest,
+                                 start=start, end=anchor_end)
 
     def _close_span(self, ctx: UpdateContext, entry, digest,
-                    start: float, end: float, batched: bool) -> None:
+                    start: float, end: float) -> None:
         fw = self.framework
         trace = ctx.trace
         span = trace.child("anchor", start_time=start)
         span.set_attribute("sequence", entry.sequence)
-        if batched:
-            span.set_attribute("batched", True)
         span.end(end)
         fw.tracer.event(
             "ledger_anchor",
@@ -517,13 +469,14 @@ class AnchorStage(Stage):
 
 
 class Pipeline:
-    """The shared stage sequence and its two drivers.
+    """The stage sequence and its one driver.
 
-    ``run_one`` drives a single update through every stage and anchors
-    immediately; ``run_batch`` arms the batch-amortized stages (batch
-    auth, engine batch hooks), walks each update through the same
-    per-update sequence — preserving the verify→log→apply interleaving
-    stateful aggregate caches require — and anchors once.
+    :meth:`run_batch` arms the batch-amortized stages (batch auth,
+    engine batch hooks), walks each update through the five pre-anchor
+    stages — preserving the verify→log→apply interleaving stateful
+    aggregate caches require — and anchors once.  Nothing else logs,
+    applies or anchors: ``submit`` is a batch of one, and a replicated
+    shard hands every decided batch to each replica's driver.
     """
 
     def __init__(self, framework):
@@ -534,104 +487,54 @@ class Pipeline:
         self.durability = DurabilityStage(framework)
         self.apply = ApplyStage(framework)
         self.anchor = AnchorStage(framework, self.durability)
-        #: Stage order as an update experiences it.
-        self.stages = (self.auth, self.route, self.verify,
-                       self.durability, self.apply, self.anchor)
-
-    def run_one(self, update: Update) -> UpdateResult:
-        """Drive one update through the full pipeline (``submit``).
-
-        With a replication driver attached, even single submits are
-        ordered: the update rides a one-element batch through the
-        decided stream, so a replicated framework has exactly one
-        commit order no matter which submit API fed it.
-        """
-        fw = self.framework
-        if fw.replication is not None:
-            return self.run_batch([update], fw.executor)[0]
-        ctx = UpdateContext(update)
-        prof = fw.profiler
-        self._begin(ctx)
-        self._walk(ctx, prof)
-        if prof is None:
-            self.anchor.run_one(ctx)
-        else:
-            with prof.stage("anchor"):
-                self.anchor.run_one(ctx)
-        return self._record(ctx)
+        #: The pre-anchor stages, in the order each update walks them.
+        self.walk = (self.auth, self.route, self.verify,
+                     self.durability, self.apply)
 
     def run_batch(self, updates: Sequence[Update],
                   executor) -> List[UpdateResult]:
-        """Drive a batch through the pipeline (``submit_many``).
+        """Run one batch through the stage sequence, anchoring once.
 
-        This is the commit point of the staged pipeline, and it is
-        pluggable: with no replication driver (the default — the
-        implicit :class:`~repro.consensus.driver.LocalDriver` path)
-        the batch is its own decided order and runs
-        :meth:`run_decided_batch` directly, byte-identical to the
-        pre-driver pipeline.  With a driver attached, the batch is
-        *proposed*, and durability/apply/anchor run only on the
-        driver's decided batch stream — in the agreed order, which
-        under consensus drivers is the order every other replica of
-        this shard sees too.
+        Everything with externally visible effects — the WAL records
+        (DurabilityStage), database mutation (ApplyStage), and ledger
+        anchoring (AnchorStage) — happens only here.
+
+        Each stage call is bracketed by its name on the sampling
+        profiler's stage stack for this thread; without a profiler the
+        stack is a list nobody reads.  Raw push/pop rather than a
+        context manager: five boundaries per update make even minimal
+        with-statement machinery a measurable tax on the plaintext
+        engine.
         """
-        fw = self.framework
-        driver = fw.replication
-        if driver is None:
-            return self.run_decided_batch(updates, executor)
-        return self._run_replicated(updates, executor, driver)
-
-    def _run_replicated(self, updates: Sequence[Update], executor,
-                        driver) -> List[UpdateResult]:
-        """Propose the batch, then replay every decided batch the
-        stream yields (ours included) in decided order."""
-        payload = driver.encode_batch(updates)
-        sequence = driver.propose_batch(payload)
-        results = None
-        for decided in driver.committed_stream():
-            batch = driver.decode_batch(decided.payload)
-            out = self.run_decided_batch(batch, executor)
-            if decided.sequence == sequence:
-                results = out
-        if results is None:
-            from repro.common.errors import ProtocolError
-
-            raise ProtocolError(
-                f"replication driver {driver.name!r} never delivered "
-                f"proposed batch {sequence}"
-            )
-        return results
-
-    def run_decided_batch(self, updates: Sequence[Update],
-                          executor) -> List[UpdateResult]:
-        """Run one *decided* batch through the stage sequence,
-        anchoring once.  Everything with externally visible effects —
-        the WAL records (DurabilityStage), database mutation
-        (ApplyStage), and ledger anchoring (AnchorStage) — happens
-        only here, i.e. only on batches the replication layer has
-        decided."""
         fw = self.framework
         ctxs = [UpdateContext(update) for update in updates]
         prof = fw.profiler
-        if prof is None:
-            self.auth.run_batch(ctxs, executor)
-            self.verify.run_batch(ctxs, executor)
-        else:
-            with prof.stage("auth_batch"):
-                self.auth.run_batch(ctxs, executor)
-            with prof.stage("prepare_batch"):
-                self.verify.run_batch(ctxs, executor)
+        stack = prof.thread_stack() if prof is not None else []
+        depth = len(stack)
         try:
-            for ctx in ctxs:
-                self._begin(ctx)
-                self._walk(ctx, prof)
-        finally:
-            self.verify.finish_batch(ctxs)
-        if prof is None:
+            stack.append("auth_batch")
+            self.auth.run_batch(ctxs, executor)
+            stack.pop()
+            stack.append("prepare_batch")
+            self.verify.run_batch(ctxs, executor)
+            stack.pop()
+            try:
+                for ctx in ctxs:
+                    self._begin(ctx)
+                    for stage in self.walk:
+                        stack.append(stage.name)
+                        stage.run_one(ctx)
+                        stack.pop()
+                        if ctx.halted:
+                            break
+            finally:
+                self.verify.finish_batch(ctxs)
+            stack.append("anchor_batch")
             self.anchor.run_batch(ctxs, executor)
-        else:
-            with prof.stage("anchor_batch"):
-                self.anchor.run_batch(ctxs, executor)
+        finally:
+            # One unwind for every exit, so a stage that raised never
+            # leaves its name on the thread's stack.
+            del stack[depth:]
         return [self._record(ctx) for ctx in ctxs]
 
     def _begin(self, ctx: UpdateContext) -> None:
@@ -648,61 +551,6 @@ class Pipeline:
             )
         ctx.now = fw.clock.now()
         ctx.mark = fw._wall.now()
-
-    def _walk(self, ctx: UpdateContext, prof=None) -> None:
-        """The per-update stage sequence, up to (not including) anchor.
-
-        ``prof`` is the framework's sampling profiler or ``None``; the
-        ``None`` branch is the exact unprofiled hot path (no context
-        managers, no extra calls), so default-off runs stay
-        byte-identical in behavior and timing shape.
-        """
-        if prof is None:
-            self.auth.run_one(ctx)
-            if ctx.halted:
-                return
-            self.route.run_one(ctx)
-            self.verify.run_one(ctx)
-            if ctx.halted:
-                return
-            self.durability.run_one(ctx)
-            self.apply.run_one(ctx)
-            return
-        # Profiled branch: raw push/pop on the thread's stage stack
-        # rather than the stage() context manager — five boundaries per
-        # update make even minimal with-statement machinery a
-        # measurable tax on the plaintext engine, and the bench gates
-        # enabled-profiler overhead at 5%.
-        stack = prof.thread_stack()
-        stack.append("authenticate")
-        try:
-            self.auth.run_one(ctx)
-        finally:
-            stack.pop()
-        if ctx.halted:
-            return
-        stack.append("route")
-        try:
-            self.route.run_one(ctx)
-        finally:
-            stack.pop()
-        stack.append("verify")
-        try:
-            self.verify.run_one(ctx)
-        finally:
-            stack.pop()
-        if ctx.halted:
-            return
-        stack.append("durability")
-        try:
-            self.durability.run_one(ctx)
-        finally:
-            stack.pop()
-        stack.append("apply")
-        try:
-            self.apply.run_one(ctx)
-        finally:
-            stack.pop()
 
     def _record(self, ctx: UpdateContext) -> UpdateResult:
         fw = self.framework

@@ -8,7 +8,7 @@ policy, and WAL directory — deterministically replays each decided
 batch, and the shard asserts per-batch root equality across replicas
 (fail-closed: divergence is an :class:`IntegrityError`, not a warning).
 The replay path is the ordinary staged pipeline
-(:meth:`Pipeline.run_decided_batch` via ``submit_many``), so a
+(:meth:`Pipeline.run_batch` via ``submit_many``), so a
 replica's decision/digest/WAL stream is byte-identical to a standalone
 framework fed the same decided order — which is exactly what the
 driver-equivalence tests pin.
@@ -27,6 +27,7 @@ telemetry, ...), so :class:`~repro.core.sharded.ShardedPReVer` can
 drop it in per shard via its ``consensus=`` plan knobs.
 """
 
+import inspect
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import IntegrityError, PReVerError, ProtocolError
@@ -34,20 +35,9 @@ from repro.common.metrics import MetricsRegistry
 from repro.consensus.driver import LocalDriver, ReplicationDriver
 from repro.core.framework import PReVer
 from repro.core.outcome import UpdateResult
+from repro.core.sharded import _Immediate
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER
-
-
-class _Immediate:
-    """Future-alike over an already computed value (the async-dispatch
-    shim the sharded front-end's scatter/gather expects)."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        """The wrapped value."""
-        return self._value
 
 
 class ReplicatedShard:
@@ -75,6 +65,11 @@ class ReplicatedShard:
             raise PReVerError("ReplicatedShard needs at least one replica")
         self.name = name
         self._build = build
+        # Decided from the signature, not by catching TypeError from a
+        # trial call: a builder's own TypeError must reach the caller.
+        self._build_takes_index = (
+            "replica" in inspect.signature(build).parameters
+        )
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or NOOP_TRACER
         self.driver = driver or LocalDriver()
@@ -92,16 +87,9 @@ class ReplicatedShard:
         self._closed = False
 
     def _build_replica(self, index: int) -> PReVer:
-        try:
-            framework = self._build(replica=index)
-        except TypeError:
-            framework = self._build()
-        if framework.replication is not None:
-            raise PReVerError(
-                "replica builders must not attach their own replication "
-                "driver — the shard owns the decided stream"
-            )
-        return framework
+        if self._build_takes_index:
+            return self._build(replica=index)
+        return self._build()
 
     # -- the decided-stream replay ----------------------------------------
 

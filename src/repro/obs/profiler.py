@@ -5,18 +5,18 @@ profiled pipeline stage from a background thread at a fixed wall-clock
 interval; ``REPRO_PROFILE=cpu`` samples the main thread on CPU time
 via ``signal.setitimer(ITIMER_PROF)`` (so time blocked in ``fsync``
 does not accrue).  Either way a sample is the thread's current stage
-stack (pushed by :meth:`SamplingProfiler.stage` context managers
-threaded through ``core/pipeline.py`` and the pipelined committer)
+stack (pushed by the batch driver in ``core/pipeline.py``, or by a
+:meth:`SamplingProfiler.stage` context manager anywhere else)
 prefixed onto its Python call stack, aggregated into
 flamegraph-compatible collapsed form::
 
     stage:verify;framework.py:submit_many;paillier.py:encrypt 42
 
 Overhead design: only threads with a non-empty stage stack are ever
-walked, sample aggregation is a dict bump under the GIL, and with the
-profiler absent (the default) the pipeline takes its original
-unconditionally-unprofiled path, so default-off runs stay
-byte-identical and measurably unchanged.  The benchmark's
+walked, sample aggregation is a dict bump under the GIL, and the
+pipeline's stage markers are a list append/pop per stage — onto a
+list nobody samples when the profiler is absent (the default), so one
+driver serves both and roots never move.  The benchmark's
 profiler-overhead row gates the enabled-path cost at <= 5%.
 """
 

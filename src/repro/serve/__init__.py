@@ -14,8 +14,8 @@ This package bridges that gap with a small asyncio serving stack:
   ingress queues, and explicit RETRY backpressure;
 - :mod:`repro.serve.scheduler` — :class:`BatchingScheduler`, which
   coalesces concurrent requests within a time/size window into
-  ``submit_many``/``submit_pipelined`` calls so the staged pipeline
-  and the WAL group commit see real batches;
+  ``submit_many`` calls so the staged pipeline and the WAL group
+  commit see real batches;
 - :mod:`repro.serve.client` — :class:`ServeClient`, the async SDK with
   connection reuse and pipelined request correlation.
 

@@ -8,10 +8,8 @@ when updates reach it in batches.  :class:`BatchingScheduler` bridges
 the two: admitted requests land on a bounded ingress queue, a collector
 task coalesces everything that arrives within a **time/size window**
 (``batch_window`` seconds, capped at ``max_batch`` updates), and the
-coalesced batch runs through ``target.submit_many`` — or
-``target.submit_pipelined`` when several windows' worth of work has
-queued up, overlapping batch N's anchor fsync with batch N+1's verify
-prep — on one dedicated pipeline thread.
+coalesced batch runs through ``target.submit_many`` on one dedicated
+pipeline thread.
 
 That single thread is a correctness decision, not just a convenience:
 :class:`~repro.core.framework.PReVer` is not thread-safe, and running
@@ -57,11 +55,9 @@ class BatchingScheduler:
     ``target`` is anything exposing ``submit_many`` — a
     :class:`~repro.core.framework.PReVer` or a
     :class:`~repro.core.sharded.ShardedPReVer` (served requests then
-    route across its shards exactly as in-process batches do).  When
-    the target also exposes ``submit_pipelined`` and more than one
-    ``max_batch`` window's worth of work is pending, the backlog is
-    chunked and submitted pipelined so anchor fsyncs overlap verify
-    prep.
+    route across its shards exactly as in-process batches do).  A
+    coalesced batch larger than ``max_batch`` (one request overshot
+    the cap) runs as consecutive ``max_batch``-sized chunks.
 
     Lifecycle: :meth:`start` inside a running event loop,
     :meth:`try_submit` per admitted request, :meth:`drain` to run the
@@ -94,7 +90,6 @@ class BatchingScheduler:
         self._ctr_batches = self.metrics.counter("server.batches")
         self._ctr_batched_updates = self.metrics.counter(
             "server.batched_updates")
-        self._ctr_pipelined = self.metrics.counter("server.pipelined_batches")
         self._tmr_batch = self.metrics.timer("server.batch")
         self._tmr_wait = self.metrics.timer("server.batch_wait")
         self._hist_batch_size = self.metrics.histogram(
@@ -214,26 +209,22 @@ class BatchingScheduler:
             updates.extend(item.updates)
         chunks = [updates[i:i + self.max_batch]
                   for i in range(0, len(updates), self.max_batch)]
-        pipelined = len(chunks) > 1 and hasattr(self.target,
-                                                "submit_pipelined")
         self._inflight = len(updates)
         start = loop.time()
         try:
             results = await loop.run_in_executor(
-                self._executor, self._run_chunks, chunks, pipelined)
+                self._executor, self._run_chunks, chunks)
         except Exception as exc:
             for item in items:
                 if not item.future.done():
                     item.future.set_exception(exc)
             # Re-arm: a poisoned batch must not wedge admission.
-            self._settle(items, errored=True)
+            self._settle(items)
             return
         elapsed = loop.time() - start
         self._tmr_batch.record(elapsed)
         self._ctr_batches.add()
         self._ctr_batched_updates.add(len(updates))
-        if pipelined:
-            self._ctr_pipelined.add(len(chunks))
         self._hist_batch_size.observe(len(updates))
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.event(
@@ -241,7 +232,6 @@ class BatchingScheduler:
                 requests=len(items),
                 updates=len(updates),
                 chunks=len(chunks),
-                pipelined=pipelined,
                 seconds=elapsed,
             )
         offset = 0
@@ -252,17 +242,14 @@ class BatchingScheduler:
                 item.future.set_result(share)
         self._settle(items)
 
-    def _run_chunks(self, chunks: List[List[Update]],
-                    pipelined: bool) -> List[UpdateResult]:
-        """Pipeline-thread body: one submit_pipelined / submit_many run."""
-        if pipelined:
-            return self.target.submit_pipelined(chunks)
+    def _run_chunks(self, chunks: List[List[Update]]) -> List[UpdateResult]:
+        """Pipeline-thread body: one ``submit_many`` per chunk."""
         results: List[UpdateResult] = []
         for chunk in chunks:
             results.extend(self.target.submit_many(chunk))
         return results
 
-    def _settle(self, items: List[_WorkItem], errored: bool = False) -> None:
+    def _settle(self, items: List[_WorkItem]) -> None:
         """Release the items' backpressure budget and maybe go idle."""
         released = sum(len(item.updates) for item in items)
         self._pending_updates -= released

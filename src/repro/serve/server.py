@@ -19,7 +19,7 @@
   never an unbounded queue, never a silent drop.
 * **Batching** delegates to
   :class:`~repro.serve.scheduler.BatchingScheduler`, which coalesces
-  concurrent requests into ``submit_many`` / ``submit_pipelined`` runs
+  concurrent requests into ``submit_many`` runs
   on one pipeline thread, in admission order — so the served decision
   stream and anchored roots are identical to the in-process path.
 * **Shutdown** (:meth:`PReVerServer.stop`) is a drain, not an abort:

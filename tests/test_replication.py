@@ -3,11 +3,11 @@ convergence, crash/catch-up, and the sharded ``consensus=`` knob.
 
 The contract under test, layer by layer:
 
-* **LocalDriver is invisible** — ``PReVer(replication=LocalDriver())``
-  must reproduce the pre-driver framework byte-for-byte (same pinned
-  golden roots and WAL hashes as ``tests/test_pipeline_stages.py``):
-  the decided stream is just the submission order, with no transport
-  in the way.
+* **LocalDriver is invisible** — ``ReplicatedShard(build, replicas=1,
+  driver=LocalDriver())`` must reproduce the standalone framework
+  byte-for-byte (same pinned golden roots and WAL hashes as
+  ``tests/test_pipeline_stages.py``): the decided stream is just the
+  submission order, with no transport in the way.
 * **Consensus drivers are order-equivalent** — Paxos/PBFT/SharPer
   order the same batches into the same total order (one proposer, so
   the only question is that retransmits, view-change no-ops, and
@@ -40,7 +40,6 @@ from repro.consensus.driver import (
     make_driver,
     resolve_plan,
 )
-from repro.core.framework import PReVer
 from repro.core.replicated import ReplicatedShard
 from repro.core.sharded import ShardedPReVer
 from repro.durability import Durability
@@ -50,8 +49,6 @@ from tests.test_pipeline_stages import (
     GOLDEN,
     build_plaintext,
     golden_stream,
-    make_db,
-    pinned_constraints,
     wal_sha256,
 )
 from tests.test_sharded import (
@@ -98,32 +95,39 @@ def test_make_driver_builds_every_kind():
 
 # -- LocalDriver: byte-identical to the pre-driver framework -----------------
 
+def local_shard(engine, state_dir):
+    """One durable replica behind the LocalDriver."""
+    build = functools.partial(BUILDERS[engine],
+                              durability=Durability.wal(state_dir))
+    return ReplicatedShard(build, replicas=1, driver=LocalDriver())
+
+
 @pytest.mark.parametrize("engine", ["plaintext", "paillier"])
 def test_local_driver_matches_pre_driver_goldens(engine, tmp_path):
-    """The default-on driver changes nothing: same pinned golden root
-    and WAL bytes as the driverless batched path."""
-    framework = BUILDERS[engine](durability=Durability.wal(str(tmp_path)))
-    framework.replication = LocalDriver()
+    """Ordering through the local driver changes nothing: same pinned
+    golden root and WAL bytes as the standalone batched path."""
+    shard = local_shard(engine, str(tmp_path))
     stream = golden_stream()
     results = []
-    results.extend(framework.submit_many(stream[:8]))
-    results.extend(framework.submit_many(stream[8:]))
-    framework.close()
+    results.extend(shard.submit_many(stream[:8]))
+    results.extend(shard.submit_many(stream[8:]))
+    root = shard.digest().root.hex()
+    shard.close()
     golden = GOLDEN[(engine, "batched")]
-    assert framework.ledger.digest().root.hex() == golden["root"]
+    assert root == golden["root"]
     assert wal_sha256(str(tmp_path)) == golden["wal_sha256"]
     assert any(r.applied for r in results)
     assert any(not r.accepted for r in results)
 
 
 def test_local_driver_sequential_matches_goldens(tmp_path):
-    framework = build_plaintext(durability=Durability.wal(str(tmp_path)))
-    framework.replication = LocalDriver()
+    shard = local_shard("plaintext", str(tmp_path))
     for update in golden_stream():
-        framework.submit(update)
-    framework.close()
+        shard.submit(update)
+    root = shard.digest().root.hex()
+    shard.close()
     golden = GOLDEN[("plaintext", "sequential")]
-    assert framework.ledger.digest().root.hex() == golden["root"]
+    assert root == golden["root"]
     assert wal_sha256(str(tmp_path)) == golden["wal_sha256"]
 
 
@@ -268,14 +272,28 @@ def test_divergent_replica_is_fail_closed():
         shard.submit_many(stream[4:8])
 
 
-def test_replica_builder_must_not_replicate():
-    def bad_build():
-        framework = build_plaintext()
-        framework.replication = LocalDriver()
-        return framework
+def test_builder_type_error_propagates_without_a_second_call():
+    """A builder that takes ``replica`` and raises ``TypeError`` of its
+    own must not be retried without the index: every replica would
+    then be built for the default index and share one WAL directory."""
+    seen = []
 
-    with pytest.raises(PReVerError, match="must not attach"):
-        ReplicatedShard(bad_build, replicas=1)
+    def broken_build(replica=0):
+        seen.append(replica)
+        raise TypeError("unsupported operand inside the builder")
+
+    with pytest.raises(TypeError, match="inside the builder"):
+        ReplicatedShard(broken_build, replicas=2)
+    assert seen == [0]
+
+    seen.clear()
+
+    def indexed_build(replica=0):
+        seen.append(replica)
+        return build_plaintext()
+
+    ReplicatedShard(indexed_build, replicas=3).close()
+    assert seen == [0, 1, 2]
 
 
 # -- the sharded consensus knob ----------------------------------------------
@@ -386,14 +404,13 @@ def test_consensus_metrics_surface_on_the_registry():
     backed.close()
 
 
-def test_framework_replication_knob_binds_observability():
-    """``PReVer(replication=...)`` routes batches through the driver
-    and binds its metrics into the framework registry."""
-    framework = PReVer([make_db()], replication=LocalDriver())
-    for constraint in pinned_constraints():
-        framework.register_constraint(constraint)
-    results = framework.submit_many(golden_stream()[:8])
+def test_replicated_shard_binds_driver_observability():
+    """The shard routes batches through its driver and binds the
+    driver's metrics into the shard registry."""
+    shard = ReplicatedShard(build_plaintext, replicas=1,
+                            driver=LocalDriver())
+    results = shard.submit_many(golden_stream()[:8])
     assert len(results) == 8
-    assert framework.metrics.counter_value("consensus.batches_decided") == 1
-    assert framework.replication.stats()["delivered"] == 1
-    framework.close()
+    assert shard.metrics.counter_value("consensus.batches_decided") == 1
+    assert shard.driver.stats()["delivered"] == 1
+    shard.close()
