@@ -35,52 +35,96 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 benchmark results.
 """
 
-from repro.database import Database, TableSchema
-from repro.database.schema import ColumnType
-from repro.database.expr import col, lit, update_field
-from repro.model.update import Update, UpdateOperation, UpdateStatus
-from repro.model.constraints import (
-    Constraint,
-    ConstraintKind,
-    AggregateSpec,
-    WindowSpec,
-    upper_bound_regulation,
-    lower_bound_regulation,
-)
-from repro.model.participants import (
-    Authority,
-    DataManager,
-    DataOwner,
-    DataProducer,
-)
-from repro.model.policy import PrivacyPolicy, Visibility
-from repro.model.threat import AdversaryClass, CollusionStructure, ThreatModel
-from repro.core.framework import PReVer
-from repro.consensus.driver import ReplicationPlan
-from repro.core.replicated import ReplicatedShard
-from repro.core.sharded import ShardedDigest, ShardedPReVer, ShardPlan, ShardSpec
-from repro.core.contexts import (
-    single_private_database,
-    federated_private_databases,
-    public_database,
-)
-from repro.core.separ import SeparSystem
-from repro.ledger.central import CentralLedger
-from repro.ledger.audit import LedgerAuditor
-from repro.model.dsl import parse_constraint, parse_regulation
-from repro.obs import (
-    EventLog,
-    NOOP_TRACER,
-    Tracer,
-    metrics_to_json,
-    to_prometheus,
-)
-from repro.durability import (
-    Durability,
-    RecoveryManager,
-    RecoveryReport,
-    SimulatedCrash,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.database import Database, TableSchema
+    from repro.database.schema import ColumnType
+    from repro.database.expr import col, lit, update_field
+    from repro.model.update import Update, UpdateOperation, UpdateStatus
+    from repro.model.constraints import (
+        Constraint,
+        ConstraintKind,
+        AggregateSpec,
+        WindowSpec,
+        upper_bound_regulation,
+        lower_bound_regulation,
+    )
+    from repro.model.participants import (
+        Authority,
+        DataManager,
+        DataOwner,
+        DataProducer,
+    )
+    from repro.model.policy import PrivacyPolicy, Visibility
+    from repro.model.threat import AdversaryClass, CollusionStructure, ThreatModel
+    from repro.core.framework import PReVer
+    from repro.consensus.driver import ReplicationPlan
+    from repro.core.replicated import ReplicatedShard
+    from repro.core.sharded import ShardedDigest, ShardedPReVer, ShardPlan, ShardSpec
+    from repro.core.contexts import (
+        single_private_database,
+        federated_private_databases,
+        public_database,
+    )
+    from repro.core.separ import SeparSystem
+    from repro.ledger.central import CentralLedger
+    from repro.ledger.audit import LedgerAuditor
+    from repro.model.dsl import parse_constraint, parse_regulation
+    from repro.obs import (
+        EventLog,
+        NOOP_TRACER,
+        Tracer,
+        metrics_to_json,
+        to_prometheus,
+    )
+    from repro.durability import (
+        Durability,
+        RecoveryManager,
+        RecoveryReport,
+        SimulatedCrash,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.database": ("Database", "TableSchema"),
+    "repro.database.schema": ("ColumnType",),
+    "repro.database.expr": ("col", "lit", "update_field"),
+    "repro.model.update": ("Update", "UpdateOperation", "UpdateStatus"),
+    "repro.model.constraints": (
+        "Constraint", "ConstraintKind", "AggregateSpec", "WindowSpec",
+        "upper_bound_regulation", "lower_bound_regulation",
+    ),
+    "repro.model.participants": (
+        "Authority", "DataManager", "DataOwner", "DataProducer",
+    ),
+    "repro.model.policy": ("PrivacyPolicy", "Visibility"),
+    "repro.model.threat": (
+        "AdversaryClass", "CollusionStructure", "ThreatModel",
+    ),
+    "repro.core.framework": ("PReVer",),
+    "repro.consensus.driver": ("ReplicationPlan",),
+    "repro.core.replicated": ("ReplicatedShard",),
+    "repro.core.sharded": (
+        "ShardedDigest", "ShardedPReVer", "ShardPlan", "ShardSpec",
+    ),
+    "repro.core.contexts": (
+        "single_private_database", "federated_private_databases",
+        "public_database",
+    ),
+    "repro.core.separ": ("SeparSystem",),
+    "repro.ledger.central": ("CentralLedger",),
+    "repro.ledger.audit": ("LedgerAuditor",),
+    "repro.model.dsl": ("parse_constraint", "parse_regulation"),
+    "repro.obs": (
+        "EventLog", "NOOP_TRACER", "Tracer", "metrics_to_json",
+        "to_prometheus",
+    ),
+    "repro.durability": (
+        "Durability", "RecoveryManager", "RecoveryReport", "SimulatedCrash",
+    ),
+})
 
 __version__ = "1.0.0"
 

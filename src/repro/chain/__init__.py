@@ -12,14 +12,28 @@
   data other enterprises never see, anchored for global integrity.
 """
 
-from repro.chain.blockchain import (
-    Block,
-    Transaction,
-    PermissionedBlockchain,
-    PrivateDataCollection,
-)
-from repro.chain.sharper import ShardedLedger, CrossShardResult
-from repro.chain.qanaat import QanaatNetwork, Collaboration
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.chain.blockchain import (
+        Block,
+        Transaction,
+        PermissionedBlockchain,
+        PrivateDataCollection,
+    )
+    from repro.chain.sharper import ShardedLedger, CrossShardResult
+    from repro.chain.qanaat import QanaatNetwork, Collaboration
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.chain.blockchain": (
+        "Block", "Transaction", "PermissionedBlockchain",
+        "PrivateDataCollection",
+    ),
+    "repro.chain.sharper": ("ShardedLedger", "CrossShardResult"),
+    "repro.chain.qanaat": ("QanaatNetwork", "Collaboration"),
+})
 
 __all__ = [
     "Block",

@@ -108,9 +108,10 @@ class QanaatNetwork:
     def latest_anchor(self, collaboration_name: str) -> Optional[LedgerDigest]:
         latest = None
         for entry in self.anchor_chain.entries():
-            if entry.payload["collaboration"] == collaboration_name:
+            payload = entry.payload
+            if payload["collaboration"] == collaboration_name:
                 latest = LedgerDigest(
-                    size=entry.payload["size"], root=entry.payload["root"]
+                    size=payload["size"], root=payload["root"]
                 )
         return latest
 

@@ -25,12 +25,11 @@ for the WAL frame.  This module attacks both halves of that cost:
   splicing a canonical fragment into a larger canonical document
   yields the same bytes as encoding the whole value from scratch.
 
-Per-object byte caches live on the frozen hot-path records themselves
-(``LedgerEntry.leaf_bytes``, ``LogRecord.payload_bytes``) — frozen
-dataclasses make the memo sound, and the mutation-hazard tests prove
-it.  Mutable objects (notably :class:`repro.model.update.Update`, whose
-tamper-detection semantics *require* re-encoding after mutation) are
-never identity-cached.
+The fragment is the only resident copy of an anchored payload: a
+``LedgerEntry`` *is* its canonical leaf bytes and decodes the payload
+on demand.  Mutable objects (notably
+:class:`repro.model.update.Update`, whose tamper-detection semantics
+*require* re-encoding after mutation) are never identity-cached.
 """
 
 import json

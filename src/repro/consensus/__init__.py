@@ -21,20 +21,36 @@ byte-identical default; ``PaxosDriver`` / ``PbftDriver`` /
 ``SharperDriver`` replicate a shard's ledger over SimNetwork).
 """
 
-from repro.consensus.base import ConsensusResult, ClusterStats
-from repro.consensus.driver import (
-    DecidedBatch,
-    LocalDriver,
-    PaxosDriver,
-    PbftDriver,
-    ReplicationDriver,
-    ReplicationPlan,
-    SharperDriver,
-    make_driver,
-    resolve_plan,
-)
-from repro.consensus.paxos import PaxosCluster
-from repro.consensus.pbft import PBFTCluster
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.consensus.base import ConsensusResult, ClusterStats
+    from repro.consensus.driver import (
+        DecidedBatch,
+        LocalDriver,
+        PaxosDriver,
+        PbftDriver,
+        ReplicationDriver,
+        ReplicationPlan,
+        SharperDriver,
+        make_driver,
+        resolve_plan,
+    )
+    from repro.consensus.paxos import PaxosCluster
+    from repro.consensus.pbft import PBFTCluster
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.consensus.base": ("ConsensusResult", "ClusterStats"),
+    "repro.consensus.driver": (
+        "DecidedBatch", "LocalDriver", "PaxosDriver", "PbftDriver",
+        "ReplicationDriver", "ReplicationPlan", "SharperDriver", "make_driver",
+        "resolve_plan",
+    ),
+    "repro.consensus.paxos": ("PaxosCluster",),
+    "repro.consensus.pbft": ("PBFTCluster",),
+})
 
 __all__ = [
     "ConsensusResult",

@@ -55,6 +55,7 @@ from repro.common.clock import WallClock
 from repro.common.errors import ProtocolError
 from repro.common.ids import make_id
 from repro.net.simnet import SimNetwork, network_profile
+from repro.serve import protocol
 
 _DRIVER_KINDS = ("local", "paxos", "pbft", "sharper")
 
@@ -190,18 +191,15 @@ class ReplicationDriver:
         """Updates → the proposed payload (canonical wire docs, so
         signatures survive ordering and replicas replay identical
         bytes)."""
-        from repro.serve.protocol import update_to_wire
-
-        return {"updates": [update_to_wire(u) for u in updates]}
+        return {"updates": [protocol.update_to_wire(u) for u in updates]}
 
     def decode_batch(self, payload: dict) -> list:
         """Decided payload → fresh :class:`~repro.model.update.Update`
         objects.  Called once per replica: the pipeline mutates update
         state, so decided batches must never share objects across
         replicas."""
-        from repro.serve.protocol import update_from_wire
-
-        return [update_from_wire(doc) for doc in payload["updates"]]
+        return [protocol.update_from_wire(doc)
+                for doc in payload["updates"]]
 
     # -- the driver API ---------------------------------------------------
 

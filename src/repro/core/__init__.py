@@ -25,40 +25,69 @@
 * :mod:`repro.core.separ` — the Separ instantiation (Section 5).
 """
 
-from repro.core.outcome import VerificationOutcome, UpdateResult
-from repro.core.verifiers import (
-    PlaintextVerifier,
-    PaillierVerifier,
-    ZKPVerifier,
-    EnclaveVerifier,
-    DPIndexVerifier,
-)
-from repro.core.federated import MPCVerifier, TokenVerifier
-from repro.core.pir_engine import PIRVerifier
-from repro.core.framework import PReVer
-from repro.core.pipeline import (
-    AnchorStage,
-    ApplyStage,
-    AuthStage,
-    DurabilityStage,
-    Pipeline,
-    RouteStage,
-    UpdateContext,
-    VerifyStage,
-)
-from repro.core.replicated import ReplicatedShard
-from repro.core.sharded import (
-    ShardedDigest,
-    ShardedPReVer,
-    ShardPlan,
-    ShardSpec,
-)
-from repro.core.contexts import (
-    single_private_database,
-    federated_private_databases,
-    public_database,
-)
-from repro.core.separ import SeparSystem, Platform, Worker
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.outcome import VerificationOutcome, UpdateResult
+    from repro.core.verifiers import (
+        PlaintextVerifier,
+        PaillierVerifier,
+        ZKPVerifier,
+        EnclaveVerifier,
+        DPIndexVerifier,
+    )
+    from repro.core.federated import MPCVerifier, TokenVerifier
+    from repro.core.pir_engine import PIRVerifier
+    from repro.core.framework import PReVer
+    from repro.core.pipeline import (
+        AnchorStage,
+        ApplyStage,
+        AuthStage,
+        DurabilityStage,
+        Pipeline,
+        RouteStage,
+        UpdateContext,
+        VerifyStage,
+    )
+    from repro.core.replicated import ReplicatedShard
+    from repro.core.sharded import (
+        ShardedDigest,
+        ShardedPReVer,
+        ShardPlan,
+        ShardSpec,
+    )
+    from repro.core.contexts import (
+        single_private_database,
+        federated_private_databases,
+        public_database,
+    )
+    from repro.core.separ import SeparSystem, Platform, Worker
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.outcome": ("VerificationOutcome", "UpdateResult"),
+    "repro.core.verifiers": (
+        "PlaintextVerifier", "PaillierVerifier", "ZKPVerifier",
+        "EnclaveVerifier", "DPIndexVerifier",
+    ),
+    "repro.core.federated": ("MPCVerifier", "TokenVerifier"),
+    "repro.core.pir_engine": ("PIRVerifier",),
+    "repro.core.framework": ("PReVer",),
+    "repro.core.pipeline": (
+        "AnchorStage", "ApplyStage", "AuthStage", "DurabilityStage",
+        "Pipeline", "RouteStage", "UpdateContext", "VerifyStage",
+    ),
+    "repro.core.replicated": ("ReplicatedShard",),
+    "repro.core.sharded": (
+        "ShardedDigest", "ShardedPReVer", "ShardPlan", "ShardSpec",
+    ),
+    "repro.core.contexts": (
+        "single_private_database", "federated_private_databases",
+        "public_database",
+    ),
+    "repro.core.separ": ("SeparSystem", "Platform", "Worker"),
+})
 
 __all__ = [
     "VerificationOutcome",

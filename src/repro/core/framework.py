@@ -39,8 +39,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.clock import SimClock, WallClock
 from repro.common.errors import DurabilityError, IntegrityError, PReVerError
 from repro.common.metrics import MetricsRegistry
+from repro.common.serialization import canonical_bytes
 from repro.durability.policy import Durability, SimulatedCrash
-from repro.core.outcome import UpdateResult, VerificationOutcome
+from repro.durability.recovery import RecoveryManager
+from repro.durability.snapshot import Snapshotter
+from repro.durability.wal import WriteAheadLog
+from repro.core.outcome import TIMED_STAGES, UpdateResult, VerificationOutcome
 from repro.core.pipeline import Pipeline
 from repro.core.routing import ConstraintRouter
 from repro.database.engine import Database
@@ -146,9 +150,6 @@ class PReVer:
         self._wal = None
         self._snapshotter = None
         if self.durability.enabled:
-            from repro.durability.snapshot import Snapshotter
-            from repro.durability.wal import WriteAheadLog
-
             self._wal = WriteAheadLog(
                 os.path.join(self.durability.directory, "wal"),
                 fsync_every=self.durability.fsync_every,
@@ -278,13 +279,11 @@ class PReVer:
     def _apply(self, update: Update) -> None:
         database = self._target_database(update)
         if update.operation is UpdateOperation.INSERT:
-            database.insert(update.table, update.payload, update_id=update.update_id)
+            database.insert(update.table, update.payload)
         elif update.operation is UpdateOperation.MODIFY:
-            database.update(
-                update.table, update.key, update.payload, update_id=update.update_id
-            )
+            database.update(update.table, update.key, update.payload)
         else:
-            database.delete(update.table, update.key, update_id=update.update_id)
+            database.delete(update.table, update.key)
 
     def _target_database(self, update: Update) -> Database:
         if update.managers:
@@ -338,8 +337,6 @@ class PReVer:
         this freshly built framework; see
         :class:`repro.durability.recovery.RecoveryManager`.  Returns
         the :class:`~repro.durability.recovery.RecoveryReport`."""
-        from repro.durability.recovery import RecoveryManager
-
         return RecoveryManager(self).recover()
 
     def snapshot_now(self) -> str:
@@ -409,7 +406,7 @@ class PReVer:
             outcome=outcome,
             applied=applied,
             ledger_sequence=sequence,
-            stage_timings=timings,
+            timings=tuple(map(timings.get, TIMED_STAGES)),
             trace_id=trace_id,
         )
         self.results.append(result)
@@ -536,12 +533,17 @@ class PReVer:
         ``examples/telemetry_demo.py`` for the client-side
         re-verification.
         """
-        entry = None
+        # Entries hold bytes: search those, and decode only an entry
+        # whose leaf carries the stamp at all.
+        needle = b'"trace_id":' + canonical_bytes(trace_id)
+        entry = payload = None
         for candidate in self.ledger.entries():
-            payload = candidate.payload
-            if isinstance(payload, dict) and payload.get("trace_id") == trace_id:
-                entry = candidate
-                break
+            if needle in candidate.leaf_bytes():
+                payload = candidate.payload
+                if (isinstance(payload, dict)
+                        and payload.get("trace_id") == trace_id):
+                    entry = candidate
+                    break
         if entry is None:
             return None
         digest = self._last_anchored_digest
@@ -556,7 +558,7 @@ class PReVer:
         return {
             "trace_id": trace_id,
             "sequence": entry.sequence,
-            "payload": entry.payload,
+            "payload": payload,
             "digest": {"size": digest.size, "root": digest.root.hex()},
             "proof": {
                 "leaf_index": proof.leaf_index,
@@ -584,5 +586,7 @@ class PReVer:
         )
 
     def decision_history(self) -> List[dict]:
-        """Every anchored decision payload, in ledger order."""
+        """Every anchored decision payload, in ledger order — decoded
+        from the stored leaf bytes on each call (one decode per entry),
+        so callers own what they get back."""
         return [entry.payload for entry in self.ledger.entries()]

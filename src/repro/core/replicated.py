@@ -34,8 +34,7 @@ from repro.common.errors import IntegrityError, PReVerError, ProtocolError
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.driver import LocalDriver, ReplicationDriver
 from repro.core.framework import PReVer
-from repro.core.outcome import UpdateResult
-from repro.core.sharded import _Immediate
+from repro.core.outcome import Immediate, UpdateResult
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER
 
@@ -137,7 +136,7 @@ class ReplicatedShard:
 
     def submit_many_async(self, updates: Sequence[Update]):
         """Inline execution behind the async-dispatch interface."""
-        return _Immediate(self.submit_many(updates))
+        return Immediate(self.submit_many(updates))
 
     def _apply_decided(self, decided) -> List[UpdateResult]:
         """Replay one decided batch into every live replica, asserting

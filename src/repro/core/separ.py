@@ -65,9 +65,9 @@ class Platform:
     """One crowdworking platform: a private task database plus the
     shared spend state."""
 
-    def __init__(self, name: str, clock: SimClock):
+    def __init__(self, name: str):
         self.name = name
-        self.database = Database(name, clock=clock)
+        self.database = Database(name)
         self.database.create_table(TASK_SCHEMA)
         self.observed_serials: List[str] = []
         self.observed_pseudonyms: List[str] = []
@@ -140,7 +140,7 @@ class SeparSystem:
         self.authority_offline = False
         self.registry = SpendRegistry(self.authority.public_key)
         self.platforms: Dict[str, Platform] = {
-            name: Platform(name, self.clock) for name in platform_names
+            name: Platform(name) for name in platform_names
         }
         shard_names = [f"sh{i}" for i in range(max(1, shards))]
         self.blockchain = ShardedLedger(shard_names, f=1)

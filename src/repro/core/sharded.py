@@ -55,7 +55,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.consensus.driver import make_driver, resolve_plan
 from repro.core.federated import MPCVerifier, TokenVerifier
 from repro.core.framework import PReVer
-from repro.core.outcome import UpdateResult
+from repro.core.outcome import Immediate, UpdateResult
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.central import CentralLedger
 from repro.model.constraints import Constraint
@@ -122,18 +122,6 @@ class ShardPlan:
         return tuple(sorted({self.shard_for(table) for table in tables}))
 
 
-class _Immediate:
-    """Future-alike wrapping an already computed value, so serial and
-    process dispatch share one scatter/gather code path."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        """The wrapped value."""
-        return self._value
-
-
 class _SerialShard:
     """In-process shard handle: the framework lives in this
     interpreter (so :class:`MPCVerifier` escalation can reach its
@@ -149,7 +137,7 @@ class _SerialShard:
 
     def submit_many_async(self, updates: Sequence[Update]):
         """Run the shard's batch inline; returns an immediate future."""
-        return _Immediate(self.framework.submit_many(updates))
+        return Immediate(self.framework.submit_many(updates))
 
     def digest(self):
         """The shard ledger's digest."""

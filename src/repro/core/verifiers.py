@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PReVerError, PrivacyError
 from repro.common.metrics import MetricsRegistry
-from repro.core.outcome import VerificationOutcome
+from repro.core.outcome import NO_EVIDENCE, VerificationOutcome
 from repro.core.routing import (
     BatchAggregateCache,
     ConstraintRouter,
@@ -65,7 +65,9 @@ class BaseVerifier:
         self.metrics = metrics or MetricsRegistry()
         self.manager_transcript: List = []
         self._router = ConstraintRouter(self.constraints)
-        self._constraint_ids = [c.constraint_id for c in self.constraints]
+        # One tuple for the engine's lifetime: every outcome points at
+        # it (immutable, so the sharing aliases nothing).
+        self._constraint_ids = tuple(c.constraint_id for c in self.constraints)
         self._verifications = self.metrics.counter(f"{self.name}.verifications")
         # Tracing hooks: the framework binds its tracer once and, per
         # traced update, the "verify" span so engine crypto spans nest
@@ -151,9 +153,9 @@ class BaseVerifier:
         return VerificationOutcome(
             accepted=accepted,
             engine=self.name,
-            constraint_ids=list(self._constraint_ids),
+            constraint_ids=self._constraint_ids,
             failed_constraint=failed,
-            evidence=evidence,
+            evidence=evidence or NO_EVIDENCE,
         )
 
 
@@ -180,7 +182,9 @@ class PlaintextVerifier(BaseVerifier):
             self._batch_cache.note_applied(update)
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
-        self._observe(dict(update.payload))  # the baseline leaks everything
+        # The baseline leaks everything; recorded by reference (the
+        # transcript is an observation log, not a second copy).
+        self._observe(update.payload)
         timer = self.metrics.timer("plaintext.check")
         clock = perf_counter  # direct timing; timed() costs ~2us per check
         for constraint in self.constraints_for(update):

@@ -1,16 +1,14 @@
-"""The Database: a named collection of tables plus the transaction log.
+"""The Database: a named collection of tables.
 
-This is the object PReVer's data managers hold.  All mutations flow
-through the database (not the raw tables) so every change is logged —
-the ledger layer anchors that log, and tests can replay it.
+This is the object PReVer's data managers hold.  It keeps no journal of
+its own: the WAL (:mod:`repro.durability.wal`) is the redo log and the
+ledger (:mod:`repro.ledger.central`) the decision journal.
 """
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.common.clock import SimClock
 from repro.common.errors import PReVerError
 from repro.database.expr import Env, Expr
-from repro.database.log import LogOp, TransactionLog
 from repro.database.schema import TableSchema
 from repro.database.table import Table
 
@@ -22,10 +20,8 @@ class DatabaseError(PReVerError):
 class Database:
     """A single data manager's database."""
 
-    def __init__(self, name: str, clock: Optional[SimClock] = None):
+    def __init__(self, name: str):
         self.name = name
-        self.clock = clock or SimClock()
-        self.log = TransactionLog()
         self._tables: Dict[str, Table] = {}
 
     # -- schema --------------------------------------------------------
@@ -46,59 +42,22 @@ class Database:
     def table_names(self) -> List[str]:
         return sorted(self._tables)
 
-    # -- logged mutations ------------------------------------------------
+    # -- mutations -------------------------------------------------------
 
-    def insert(
-        self, table_name: str, row: Dict[str, Any], update_id: Optional[str] = None
-    ) -> Dict[str, Any]:
-        table = self.table(table_name)
-        inserted = table.insert(row)
-        self.log.append(
-            timestamp=self.clock.now(),
-            table=table_name,
-            op=LogOp.INSERT,
-            key=table.schema.key_of(inserted),
-            before=None,
-            after=inserted,
-            update_id=update_id,
-        )
-        return inserted
+    def insert(self, table_name: str, row: Dict[str, Any]) -> Dict[str, Any]:
+        return self.table(table_name).insert(row)
 
     def update(
         self,
         table_name: str,
         key: Tuple,
         changes: Dict[str, Any],
-        update_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        table = self.table(table_name)
-        before, after = table.update_row(key, changes)
-        self.log.append(
-            timestamp=self.clock.now(),
-            table=table_name,
-            op=LogOp.UPDATE,
-            key=key,
-            before=before,
-            after=after,
-            update_id=update_id,
-        )
+        _before, after = self.table(table_name).update_row(key, changes)
         return after
 
-    def delete(
-        self, table_name: str, key: Tuple, update_id: Optional[str] = None
-    ) -> Dict[str, Any]:
-        table = self.table(table_name)
-        before = table.delete(key)
-        self.log.append(
-            timestamp=self.clock.now(),
-            table=table_name,
-            op=LogOp.DELETE,
-            key=key,
-            before=before,
-            after=None,
-            update_id=update_id,
-        )
-        return before
+    def delete(self, table_name: str, key: Tuple) -> Dict[str, Any]:
+        return self.table(table_name).delete(key)
 
     # -- queries ---------------------------------------------------------
 

@@ -6,8 +6,18 @@ tree, exposing digests, inclusion proofs, consistency proofs, and an
 auditor that any participant can run against an untrusted copy.
 """
 
-from repro.ledger.central import CentralLedger, LedgerEntry, LedgerDigest
-from repro.ledger.audit import LedgerAuditor, AuditReport
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ledger.central import CentralLedger, LedgerEntry, LedgerDigest
+    from repro.ledger.audit import LedgerAuditor, AuditReport
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.ledger.central": ("CentralLedger", "LedgerEntry", "LedgerDigest"),
+    "repro.ledger.audit": ("LedgerAuditor", "AuditReport"),
+})
 
 __all__ = [
     "CentralLedger",

@@ -94,7 +94,9 @@ class LedgerAuditor:
                     # Anchored pipeline decisions carry the update's
                     # trace_id, so spot checks correlate with the
                     # pipeline's event log entry for the same update.
-                    payload = entry.payload if isinstance(entry.payload, dict) else {}
+                    payload = entry.payload
+                    if not isinstance(payload, dict):
+                        payload = {}
                     self.tracer.event(
                         "audit.entry_check",
                         trace_id=payload.get("trace_id"),

@@ -13,16 +13,12 @@ its local journal, but any participant holding an old digest will catch
 it (see :mod:`repro.ledger.audit` and the tamper tests).
 """
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Any, List, Optional, Sequence
 
 from repro.common.encoding import RawJson, encode_canonical_bytes
 from repro.common.errors import IntegrityError
-from repro.common.serialization import (
-    canonical_bytes,
-    canonical_json,
-    from_canonical_json,
-)
+from repro.common.serialization import canonical_json, from_canonical_json
 from repro.crypto.merkle import (
     ConsistencyProof,
     InclusionProof,
@@ -32,46 +28,82 @@ from repro.crypto.merkle import (
 )
 from repro.obs.tracing import NOOP_TRACER
 
+# Canonical JSON sorts keys, so every leaf is
+# ``{"payload":<fragment>,"sequence":<n>}`` and the payload's own
+# canonical encoding can be sliced back out without parsing.
+_LEAF_PREFIX = b'{"payload":'
 
-@dataclass(frozen=True)
+
 class LedgerEntry:
     """One journal entry: a sequence number plus an opaque payload.
 
-    The entry is frozen, so its canonical leaf bytes are computed once
-    and cached on the instance (encode-once): the Merkle append, the
-    ``/trace`` re-verification, and audit-side inclusion checks all
-    reuse the same bytes instead of re-serializing the payload.
+    The entry holds exactly what the Merkle tree hashed — its canonical
+    leaf bytes — and nothing else: no payload object, no memo.  It is
+    immutable (assignment raises :class:`~dataclasses.FrozenInstanceError`)
+    and compares, hashes and prints by ``(sequence, payload)``, which
+    the leaf bytes determine.
     """
 
-    sequence: int
-    payload: Any
+    __slots__ = ("sequence", "_leaf")
 
-    def leaf_bytes(self) -> bytes:
-        """Canonical bytes hashed into the Merkle tree for this entry
-        (cached; the instance is frozen, so the memo is sound)."""
-        cached = self.__dict__.get("_leaf_bytes")
-        if cached is None:
-            cached = canonical_bytes(
-                {"sequence": self.sequence, "payload": self.payload}
-            )
-            object.__setattr__(self, "_leaf_bytes", cached)
-        return cached
+    def __init__(self, sequence: int, payload: Any):
+        _set = object.__setattr__
+        _set(self, "sequence", sequence)
+        _set(self, "_leaf", encode_canonical_bytes(
+            {"sequence": sequence, "payload": payload}
+        ))
 
     @classmethod
-    def with_encoded_payload(cls, sequence: int, payload: Any,
+    def with_encoded_payload(cls, sequence: int,
                              encoded_payload: str) -> "LedgerEntry":
         """Build an entry whose payload was already canonically encoded
         (``encoded_payload`` must be ``canonical_json(payload)``); the
         leaf bytes splice the fragment instead of re-encoding, and the
         result is byte-identical to the re-encoding path."""
-        entry = cls(sequence=sequence, payload=payload)
-        object.__setattr__(
-            entry, "_leaf_bytes",
-            encode_canonical_bytes(
-                {"sequence": sequence, "payload": RawJson(encoded_payload)}
-            ),
-        )
-        return entry
+        return cls(sequence, RawJson(encoded_payload))
+
+    @property
+    def payload(self) -> Any:
+        """The payload, decoded from the leaf bytes on every read —
+        nothing is memoised, so bind it to a local when reading more
+        than one field.  Tuples come back as lists and ``to_dict``
+        objects as dicts: what was anchored, not what was passed."""
+        return from_canonical_json(self.encoded_payload())
+
+    def encoded_payload(self) -> str:
+        """The payload's canonical JSON, sliced out of the leaf bytes
+        (splice it with :class:`~repro.common.encoding.RawJson`
+        instead of decoding and re-encoding)."""
+        suffix = len(b',"sequence":%d}' % self.sequence)
+        return self._leaf[len(_LEAF_PREFIX):-suffix].decode("utf-8")
+
+    def leaf_bytes(self) -> bytes:
+        """Canonical bytes hashed into the Merkle tree for this entry."""
+        return self._leaf
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LedgerEntry:
+            return NotImplemented
+        return self._leaf == other._leaf
+
+    def __hash__(self) -> int:
+        return hash(self._leaf)
+
+    def __repr__(self) -> str:
+        return (f"LedgerEntry(sequence={self.sequence!r}, "
+                f"payload={self.payload!r})")
+
+    def __reduce__(self):
+        # Slots plus a refusing __setattr__ defeat the default pickle
+        # protocol; rebuild from the same spliced fragment instead.
+        return (LedgerEntry.with_encoded_payload,
+                (self.sequence, self.encoded_payload()))
 
 
 @dataclass(frozen=True)
@@ -124,11 +156,9 @@ class CentralLedger:
         """
         sequence = len(self._entries)
         if encoded_payload is None:
-            entry = LedgerEntry(sequence=sequence, payload=payload)
+            entry = LedgerEntry(sequence, payload)
         else:
-            entry = LedgerEntry.with_encoded_payload(
-                sequence, payload, encoded_payload
-            )
+            entry = LedgerEntry.with_encoded_payload(sequence, encoded_payload)
         self._entries.append(entry)
         self._tree.append(entry.leaf_bytes())
         return entry
@@ -147,13 +177,15 @@ class CentralLedger:
         ``encoded_payloads`` (parallel to ``payloads``) carries each
         payload's canonical JSON when the caller already encoded it;
         leaf bytes are then assembled by fragment splicing — zero
-        payload re-serialization — with byte-identical output.
+        payload re-serialization — with byte-identical output.  Either
+        way the ledger keeps the leaf bytes and drops the payload
+        objects.
         """
         executor = executor if executor is not None else self._executor
         start = len(self._entries)
         if encoded_payloads is None:
             entries = [
-                LedgerEntry(sequence=start + offset, payload=payload)
+                LedgerEntry(start + offset, payload)
                 for offset, payload in enumerate(payloads)
             ]
         else:
@@ -162,11 +194,8 @@ class CentralLedger:
                     "encoded_payloads must parallel payloads"
                 )
             entries = [
-                LedgerEntry.with_encoded_payload(
-                    start + offset, payload, encoded
-                )
-                for offset, (payload, encoded)
-                in enumerate(zip(payloads, encoded_payloads))
+                LedgerEntry.with_encoded_payload(start + offset, encoded)
+                for offset, encoded in enumerate(encoded_payloads)
             ]
         self._entries.extend(entries)
         leaf_data = [entry.leaf_bytes() for entry in entries]
@@ -186,7 +215,8 @@ class CentralLedger:
             raise IntegrityError(f"no entry {sequence} in {self.name!r}") from None
 
     def entries(self, since: int = 0) -> List[LedgerEntry]:
-        """All entries from sequence ``since`` onward (a shallow copy)."""
+        """All entries from sequence ``since`` onward (a shallow copy).
+        Entries hold bytes: each ``entry.payload`` read is a decode."""
         return list(self._entries[since:])
 
     def digest(self, size: Optional[int] = None) -> LedgerDigest:
@@ -240,7 +270,10 @@ class CentralLedger:
             "size": digest.size,
             "root": digest.root.hex(),
             "leaf_hashes": [h.hex() for h in self._tree.leaf_hashes()],
-            "entries": [entry.payload for entry in self._entries],
+            # Spliced, not decoded: the snapshot file's bytes are the
+            # stored fragments (restore_state accepts them as they are).
+            "entries": [RawJson(entry.encoded_payload())
+                        for entry in self._entries],
         }
 
     def restore_state(self, state: dict) -> None:
@@ -256,7 +289,7 @@ class CentralLedger:
         if len(entries) != len(leaf_hashes) or len(entries) != state["size"]:
             raise IntegrityError("ledger snapshot size mismatch")
         self._entries = [
-            LedgerEntry(sequence=index, payload=payload)
+            LedgerEntry(index, payload)
             for index, payload in enumerate(entries)
         ]
         self._tree = MerkleTree.from_leaf_hashes(leaf_hashes)
@@ -280,10 +313,8 @@ class CentralLedger:
                 "root": digest.root,
             }) + "\n")
             for entry in self._entries:
-                handle.write(canonical_json({
-                    "sequence": entry.sequence,
-                    "payload": entry.payload,
-                }) + "\n")
+                # A dump line is the entry's canonical leaf, verbatim.
+                handle.write(entry.leaf_bytes().decode("utf-8") + "\n")
 
     @classmethod
     def load(cls, path: str) -> "CentralLedger":
@@ -320,5 +351,5 @@ class CentralLedger:
         """
         if not 0 <= sequence < len(self._entries):
             raise IntegrityError("tamper target out of range")
-        self._entries[sequence] = LedgerEntry(sequence=sequence, payload=payload)
+        self._entries[sequence] = LedgerEntry(sequence, payload)
         self._tree = MerkleTree([e.leaf_bytes() for e in self._entries])

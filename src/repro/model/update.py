@@ -33,7 +33,7 @@ class UpdateStatus(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class Update:
     """One incoming update.
 

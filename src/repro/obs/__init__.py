@@ -23,22 +23,41 @@ is attached.
   per-stage sampling profiler with collapsed-stack output.
 """
 
-from repro.obs.aggregate import (
-    DeltaTracker,
-    TelemetryDelta,
-    merge_delta,
-    worker_metrics,
-)
-from repro.obs.events import EventLog
-from repro.obs.export import (
-    METRICS_SCHEMA_VERSION,
-    metrics_to_json,
-    to_prometheus,
-    write_metrics_json,
-)
-from repro.obs.profiler import SamplingProfiler, profiler_from_env
-from repro.obs.server import OpsServer, start_ops_server
-from repro.obs.tracing import NOOP_TRACER, NullTracer, Span, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.aggregate import (
+        DeltaTracker,
+        TelemetryDelta,
+        merge_delta,
+        worker_metrics,
+    )
+    from repro.obs.events import EventLog
+    from repro.obs.export import (
+        METRICS_SCHEMA_VERSION,
+        metrics_to_json,
+        to_prometheus,
+        write_metrics_json,
+    )
+    from repro.obs.profiler import SamplingProfiler, profiler_from_env
+    from repro.obs.server import OpsServer, start_ops_server
+    from repro.obs.tracing import NOOP_TRACER, NullTracer, Span, Tracer
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.aggregate": (
+        "DeltaTracker", "TelemetryDelta", "merge_delta", "worker_metrics",
+    ),
+    "repro.obs.events": ("EventLog",),
+    "repro.obs.export": (
+        "METRICS_SCHEMA_VERSION", "metrics_to_json", "to_prometheus",
+        "write_metrics_json",
+    ),
+    "repro.obs.profiler": ("SamplingProfiler", "profiler_from_env"),
+    "repro.obs.server": ("OpsServer", "start_ops_server"),
+    "repro.obs.tracing": ("NOOP_TRACER", "NullTracer", "Span", "Tracer"),
+})
 
 __all__ = [
     "DeltaTracker",

@@ -22,17 +22,31 @@ environment-driven (``REPRO_EXECUTOR={serial,process}``,
 code changes.
 """
 
-from repro.parallel.executors import (
-    SERIAL_EXECUTOR,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    executor_from_env,
-    make_executor,
-    resolve_executor,
-    split_chunks,
-)
-from repro.parallel.shards import ShardWorker
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.executors import (
+        SERIAL_EXECUTOR,
+        Executor,
+        ParallelExecutor,
+        SerialExecutor,
+        executor_from_env,
+        make_executor,
+        resolve_executor,
+        split_chunks,
+    )
+    from repro.parallel.shards import ShardWorker
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.parallel.executors": (
+        "SERIAL_EXECUTOR", "Executor", "ParallelExecutor", "SerialExecutor",
+        "executor_from_env", "make_executor", "resolve_executor",
+        "split_chunks",
+    ),
+    "repro.parallel.shards": ("ShardWorker",),
+})
 
 __all__ = [
     "Executor",

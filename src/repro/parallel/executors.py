@@ -20,13 +20,15 @@ torn down atexit.
 import atexit
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import PReVerError
 from repro.obs.aggregate import instrumented_chunk, merge_delta
 from repro.obs.tracing import NOOP_TRACER
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Below this many items a process round-trip costs more than it saves;
 #: ``ParallelExecutor`` runs such batches inline.
@@ -124,12 +126,16 @@ SERIAL_EXECUTOR = SerialExecutor()
 
 # -- shared process pools ---------------------------------------------------
 
-_POOL_CACHE: Dict[int, ProcessPoolExecutor] = {}
+_POOL_CACHE: Dict[int, "ProcessPoolExecutor"] = {}
 
 
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
+def _shared_pool(workers: int) -> "ProcessPoolExecutor":
     pool = _POOL_CACHE.get(workers)
     if pool is None:
+        # Imported with the first pool: the serial default never pays
+        # for concurrent.futures and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         _POOL_CACHE[workers] = pool
     return pool

@@ -21,10 +21,12 @@ sharding semantics live there.
 """
 
 import atexit
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.common.errors import PReVerError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: Child-process-side registry: shard key -> the built framework.  One
 #: ShardWorker's pool has exactly one process, so each child sees only
@@ -109,6 +111,8 @@ class ShardWorker:
     """
 
     def __init__(self, key: str, builder: Callable[[], object]):
+        from concurrent.futures import ProcessPoolExecutor
+
         self.key = key
         self._pool = ProcessPoolExecutor(max_workers=1)
         self._closed = False
@@ -125,7 +129,7 @@ class ShardWorker:
         """Run a framework method in the shard's process, blocking."""
         return self.call_async(method, *args, **kwargs).result()
 
-    def call_async(self, method: str, *args, **kwargs) -> Future:
+    def call_async(self, method: str, *args, **kwargs) -> "Future":
         """Run a framework method in the shard's process; returns the
         future so batches fan out across shards concurrently."""
         if self._closed:

@@ -15,23 +15,47 @@
   admits an adversary observes, asserted by the test suite.
 """
 
-from repro.privacy.dp import (
-    LaplaceMechanism,
-    PrivacyAccountant,
-    DPIndex,
-    DPSyncScheduler,
-)
-from repro.privacy.pir import TwoServerXorPIR, PaillierPIR
-from repro.privacy.mpc import MPCContext, SharedValue, SharedBits
-from repro.privacy.tokens import TokenAuthority, TokenWallet, SpendRegistry, Token
-from repro.privacy.threshold_tokens import DistributedTokenAuthority
-from repro.privacy.enclave import TrustedEnclaveSimulator
-from repro.privacy.leakage import LeakageClass, LeakageProfile
-from repro.privacy.continual import BinaryTreeCounter, NaiveContinualCounter
-from repro.privacy.oram import PathORAM, ObliviousKV
-from repro.privacy.psi import PSIParty, PSICoordinator
-from repro.privacy.replicated_registry import ReplicatedSpendRegistry
-from repro.privacy.sse import SSEClient, SSEServer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.privacy.dp import (
+        LaplaceMechanism,
+        PrivacyAccountant,
+        DPIndex,
+        DPSyncScheduler,
+    )
+    from repro.privacy.pir import TwoServerXorPIR, PaillierPIR
+    from repro.privacy.mpc import MPCContext, SharedValue, SharedBits
+    from repro.privacy.tokens import TokenAuthority, TokenWallet, SpendRegistry, Token
+    from repro.privacy.threshold_tokens import DistributedTokenAuthority
+    from repro.privacy.enclave import TrustedEnclaveSimulator
+    from repro.privacy.leakage import LeakageClass, LeakageProfile
+    from repro.privacy.continual import BinaryTreeCounter, NaiveContinualCounter
+    from repro.privacy.oram import PathORAM, ObliviousKV
+    from repro.privacy.psi import PSIParty, PSICoordinator
+    from repro.privacy.replicated_registry import ReplicatedSpendRegistry
+    from repro.privacy.sse import SSEClient, SSEServer
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.privacy.dp": (
+        "LaplaceMechanism", "PrivacyAccountant", "DPIndex", "DPSyncScheduler",
+    ),
+    "repro.privacy.pir": ("TwoServerXorPIR", "PaillierPIR"),
+    "repro.privacy.mpc": ("MPCContext", "SharedValue", "SharedBits"),
+    "repro.privacy.tokens": (
+        "TokenAuthority", "TokenWallet", "SpendRegistry", "Token",
+    ),
+    "repro.privacy.threshold_tokens": ("DistributedTokenAuthority",),
+    "repro.privacy.enclave": ("TrustedEnclaveSimulator",),
+    "repro.privacy.leakage": ("LeakageClass", "LeakageProfile"),
+    "repro.privacy.continual": ("BinaryTreeCounter", "NaiveContinualCounter"),
+    "repro.privacy.oram": ("PathORAM", "ObliviousKV"),
+    "repro.privacy.psi": ("PSIParty", "PSICoordinator"),
+    "repro.privacy.replicated_registry": ("ReplicatedSpendRegistry",),
+    "repro.privacy.sse": ("SSEClient", "SSEServer"),
+})
 
 __all__ = [
     "LaplaceMechanism",

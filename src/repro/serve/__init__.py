@@ -24,22 +24,39 @@ roots are byte-identical to calling ``submit_many`` in-process on the
 same total update order (``benchmarks/bench_serve.py`` asserts it).
 """
 
-from repro.serve.client import (
-    ConnectionClosed,
-    RequestError,
-    ServeClient,
-    ServerBusy,
-)
-from repro.serve.protocol import (
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    FrameError,
-    MessageError,
-    ServeError,
-    ServeResult,
-)
-from repro.serve.scheduler import BatchingScheduler, ServeSchedulerStopped
-from repro.serve.server import PReVerServer, ServeConfig, ServerThread
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.client import (
+        ConnectionClosed,
+        RequestError,
+        ServeClient,
+        ServerBusy,
+    )
+    from repro.serve.protocol import (
+        ERROR_CODES,
+        PROTOCOL_VERSION,
+        FrameError,
+        MessageError,
+        ServeError,
+        ServeResult,
+    )
+    from repro.serve.scheduler import BatchingScheduler, ServeSchedulerStopped
+    from repro.serve.server import PReVerServer, ServeConfig, ServerThread
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.client": (
+        "ConnectionClosed", "RequestError", "ServeClient", "ServerBusy",
+    ),
+    "repro.serve.protocol": (
+        "ERROR_CODES", "PROTOCOL_VERSION", "FrameError", "MessageError",
+        "ServeError", "ServeResult",
+    ),
+    "repro.serve.scheduler": ("BatchingScheduler", "ServeSchedulerStopped"),
+    "repro.serve.server": ("PReVerServer", "ServeConfig", "ServerThread"),
+})
 
 __all__ = [
     "BatchingScheduler",

@@ -11,9 +11,22 @@ using standardized database benchmarks like TPC and YCSB."
   and bursty) for the DP-budget and DP-Sync experiments.
 """
 
-from repro.workloads.ycsb import YCSBWorkload, YCSBOperation, WORKLOAD_MIXES
-from repro.workloads.tpcc import TPCCWorkload
-from repro.workloads.streams import poisson_arrivals, bursty_arrivals
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.ycsb import YCSBWorkload, YCSBOperation, WORKLOAD_MIXES
+    from repro.workloads.tpcc import TPCCWorkload
+    from repro.workloads.streams import poisson_arrivals, bursty_arrivals
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.workloads.ycsb": (
+        "YCSBWorkload", "YCSBOperation", "WORKLOAD_MIXES",
+    ),
+    "repro.workloads.tpcc": ("TPCCWorkload",),
+    "repro.workloads.streams": ("poisson_arrivals", "bursty_arrivals"),
+})
 
 __all__ = [
     "YCSBWorkload",

@@ -178,3 +178,78 @@ def test_constraint_table_scoping():
     framework.register_constraint(scoped)
     # The constraint targets another table, so this update passes.
     assert framework.submit(make_update(1)).accepted
+
+
+def test_anchored_payload_does_not_alias_returned_results():
+    """The ledger keeps bytes, so nothing a caller does to a returned
+    result can move what the ledger reports: the payload, a snapshot of
+    it, and the proofs of a ledger restored from that snapshot."""
+    from repro.core.contexts import single_private_database
+    from repro.ledger.central import CentralLedger
+
+    cap = upper_bound_regulation("cap", "events", "amount", 25, ["who"])
+    framework = single_private_database(make_db(), [cap], engine="plaintext")
+    results = framework.submit_many([make_update(i) for i in range(4)])
+    assert [r.applied for r in results] == [True, True, False, False]
+    before = framework.decision_history()
+
+    for result in results:
+        with pytest.raises(AttributeError):  # the engine's shared tuple
+            result.outcome.constraint_ids.append("forged")
+        result.outcome.constraint_ids = ("forged",)
+        result.outcome.failed_constraint = "forged"
+        result.outcome.accepted = not result.outcome.accepted
+        result.update.update_id = "forged"
+        result.update.table = "forged"
+        result.update.payload["amount"] = 999
+    before[0]["decision"]["constraint_ids"].append("forged")
+
+    ledger = framework.ledger
+    assert before[0] != ledger.entry(0).payload  # history is the caller's copy
+    before[0]["decision"]["constraint_ids"].pop()
+    assert framework.decision_history() == before
+    assert [entry.payload for entry in ledger.entries()] == before
+    assert ledger.entry(2).payload["decision"] == {
+        "accepted": False, "engine": "plaintext",
+        "constraint_ids": [cap.constraint_id],
+        "failed_constraint": cap.constraint_id,
+    }
+
+    restored = CentralLedger(name="restored")
+    restored.restore_state(ledger.snapshot_state())
+    digest = restored.digest()
+    assert digest == ledger.digest()
+    for index in range(len(restored)):
+        assert restored.entry(index).payload == before[index]
+        assert CentralLedger.verify_entry(
+            digest, restored.entry(index), restored.prove_inclusion(index)
+        )
+
+
+def test_result_records_are_slotted_and_survive_pickling():
+    """Process shard dispatch ships ``UpdateResult``s between
+    interpreters; the slotted records must round-trip, and an
+    evidence-free outcome must still point at the one shared mapping."""
+    import pickle
+
+    from repro.core.contexts import single_private_database
+    from repro.core.outcome import NO_EVIDENCE
+
+    cap = upper_bound_regulation("cap", "events", "amount", 25, ["who"])
+    framework = single_private_database(make_db(), [cap], engine="plaintext")
+    results = framework.submit_many([make_update(i) for i in range(3)])
+    for result in results:
+        for record in (result, result.outcome, result.update):
+            assert not hasattr(record, "__dict__")
+        assert result.outcome.constraint_ids is results[0].outcome.constraint_ids
+        assert result.outcome.evidence is NO_EVIDENCE
+        assert result.outcome.evidence == {} and not result.outcome.evidence
+    rejected = results[2]
+    assert set(rejected.stage_timings) == {"authenticate", "verify", "anchor"}
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clones = pickle.loads(pickle.dumps(results, protocol))
+        assert clones == results
+        assert [c.stage_timings for c in clones] == [
+            r.stage_timings for r in results
+        ]
+        assert all(c.outcome.evidence is NO_EVIDENCE for c in clones)

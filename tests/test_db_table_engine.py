@@ -4,7 +4,6 @@ import pytest
 
 from repro.database.engine import Database, DatabaseError
 from repro.database.expr import col, lit
-from repro.database.log import LogOp
 from repro.database.schema import ColumnType, TableSchema
 from repro.database.table import DuplicateKeyError, MissingRowError, Table
 
@@ -136,16 +135,15 @@ def make_db():
     return db
 
 
-def test_database_logged_mutations():
+def test_database_mutations_return_row_images():
     db = make_db()
-    db.insert("people", {"id": 1, "city": "a", "age": 10}, update_id="u1")
-    db.update("people", (1,), {"age": 11})
-    db.delete("people", (1,))
-    records = list(db.log.records())
-    assert [r.op for r in records] == [LogOp.INSERT, LogOp.UPDATE, LogOp.DELETE]
-    assert records[0].update_id == "u1"
-    assert records[1].before["age"] == 10 and records[1].after["age"] == 11
-    assert records[2].after is None
+    inserted = db.insert("people", {"id": 1, "city": "a", "age": 10})
+    assert inserted == {"id": 1, "city": "a", "age": 10}
+    assert db.update("people", (1,), {"age": 11})["age"] == 11
+    assert db.table("people").get((1,))["age"] == 11
+    assert db.delete("people", (1,))["age"] == 11
+    assert db.table("people").get((1,)) is None
+    assert not hasattr(db, "log")  # the WAL and the ledger are the journals
 
 
 def test_database_duplicate_table():
@@ -193,11 +191,3 @@ def test_join():
     joined = db.join("people", "cities", "city", "city")
     assert len(joined) == 1
     assert joined[0]["country"] == "fr"
-
-
-def test_log_arrival_times_track_clock():
-    db = make_db()
-    db.insert("people", {"id": 1, "city": "a", "age": 1})
-    db.clock.advance(10)
-    db.insert("people", {"id": 2, "city": "a", "age": 2})
-    assert db.log.arrival_times() == [0.0, 10.0]

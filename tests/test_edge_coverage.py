@@ -218,18 +218,6 @@ def test_select_with_predicate_and_projection():
     assert all(set(r) == {"id"} for r in rows)
 
 
-def test_transaction_log_last_and_payload_bytes():
-    db = Database("d")
-    db.create_table(TableSchema.build(
-        "t", [("id", ColumnType.INT)], primary_key=["id"],
-    ))
-    assert db.log.last() is None
-    db.insert("t", {"id": 1})
-    record = db.log.last()
-    assert record.sequence == 0
-    assert b'"table":"t"' in record.payload_bytes()
-
-
 def test_update_to_dict_shape():
     from repro.model.update import Update, UpdateOperation
 

@@ -12,8 +12,9 @@ sha256) captured against the pre-encode-once pipeline.
 
 The caching rules are also load-bearing:
 
-* frozen records (``LedgerEntry``, ``LogRecord``) memoize their bytes —
-  sound because the dataclass rejects mutation;
+* a ``LedgerEntry`` *is* its canonical leaf bytes (the one resident
+  copy of an anchored payload): immutable, compared and printed by
+  ``(sequence, payload)``, decoding the payload on demand;
 * mutable ``Update`` is *never* identity-cached — tamper detection
   requires that mutating a signed update changes its ``body_bytes``;
 * mutable ``Constraint`` uses a key-based memo that invalidates when
@@ -29,6 +30,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 from enum import IntEnum
 
 import pytest
@@ -48,7 +50,6 @@ from repro.common.serialization import (
 from repro.core.contexts import single_private_database
 from repro.crypto.hashing import digest_canonical
 from repro.database.engine import Database
-from repro.database.log import LogOp, LogRecord
 from repro.database.schema import ColumnType, TableSchema
 from repro.durability import Durability
 from repro.ledger.central import CentralLedger, LedgerEntry
@@ -185,7 +186,7 @@ def test_rawjson_splice_in_lists():
 def test_ledger_entry_leaf_bytes_cached_and_stable():
     entry = LedgerEntry(sequence=3, payload={"k": "v", "n": 9})
     first = entry.leaf_bytes()
-    assert entry.leaf_bytes() is first  # memoized on the frozen record
+    assert entry.leaf_bytes() is first  # the stored bytes, not a re-encode
     assert first == canonical_bytes(
         {"sequence": 3, "payload": {"k": "v", "n": 9}}
     )
@@ -197,6 +198,48 @@ def test_ledger_entry_frozen():
         entry.sequence = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         entry.payload = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del entry.sequence
+    assert not hasattr(entry, "__dict__")  # slotted: nothing to memoise on
+
+
+def test_ledger_entry_compares_and_prints_by_sequence_and_payload():
+    entry = LedgerEntry(sequence=4, payload={"b": [1, 2], "a": "x"})
+    same = LedgerEntry(sequence=4, payload={"a": "x", "b": (1, 2)})
+    assert entry == same and hash(entry) == hash(same)
+    assert entry != LedgerEntry(sequence=5, payload={"b": [1, 2], "a": "x"})
+    assert entry != LedgerEntry(sequence=4, payload={"b": [1, 3], "a": "x"})
+    assert entry != (4, {"b": [1, 2], "a": "x"})
+    assert repr(entry) == (
+        "LedgerEntry(sequence=4, payload={'a': 'x', 'b': [1, 2]})"
+    )
+
+
+def test_ledger_entry_pickle_round_trip():
+    entry = LedgerEntry(sequence=9, payload={"blob": b"\x00\xff", "n": 1})
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(entry, protocol))
+        assert clone == entry
+        assert clone.leaf_bytes() == entry.leaf_bytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.sequence = 0
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_ledger_entry_payload_decodes_what_was_appended(index):
+    value = CORPUS[index]
+    ledger = CentralLedger()
+    plain = ledger.append(value)
+    spliced = LedgerEntry.with_encoded_payload(0, canonical_json(value))
+    assert plain.leaf_bytes() == spliced.leaf_bytes() == canonical_bytes(
+        {"sequence": 0, "payload": value}
+    )
+    assert plain.encoded_payload() == canonical_json(value)
+    decoded = ledger.entry(0).payload
+    # Tuples come back as lists and subclasses as their base type:
+    # the decode is the anchored value, a fixed point of the encoder.
+    assert decoded == from_canonical_json(canonical_json(value))
+    assert canonical_json(decoded) == canonical_json(value)
 
 
 def test_pre_encoded_append_matches_plain_append():
@@ -243,15 +286,6 @@ def test_constraint_body_memo_invalidates_on_mutation():
     assert b"cst-pinned" in after
 
 
-def test_log_record_payload_bytes_cached():
-    record = LogRecord(sequence=0, timestamp=0.0, table="t",
-                       op=LogOp.INSERT, key=(1,), before=None,
-                       after={"id": 1}, update_id="u-1")
-    first = record.payload_bytes()
-    assert record.payload_bytes() is first
-    assert first == canonical_bytes(record.to_dict())
-
-
 def test_digest_canonical_matches_manual_idiom():
     value = {"view": 3, "digest": "abc", "seq": 9}
     assert digest_canonical(value) == hashlib.sha256(
@@ -284,7 +318,7 @@ GOLDEN_BODY_SHA = (
 )
 
 
-def _build_framework(state_dir):
+def _build_framework(state_dir, tracer=None):
     db = Database("mgr")
     db.create_table(TableSchema.build(
         "emissions",
@@ -295,7 +329,8 @@ def _build_framework(state_dir):
     reg = upper_bound_regulation("cap", "emissions", "co2", 10 ** 7, ["org"])
     reg.constraint_id = "cst-emissions-cap"
     return single_private_database(
-        db, [reg], engine="plaintext", durability=Durability.wal(state_dir)
+        db, [reg], engine="plaintext", durability=Durability.wal(state_dir),
+        tracer=tracer,
     )
 
 
@@ -346,20 +381,33 @@ def test_golden_signature_body():
     assert body == GOLDEN_BODY_SHA
 
 
-def test_trace_reuses_cached_leaf_bytes(tmp_path):
+def test_trace_reuses_cached_leaf_bytes(tmp_path, monkeypatch):
     """The /trace re-verification path (verification_trail →
-    CentralLedger.verify_entry) must hit the entry's cached leaf bytes,
-    not re-encode — and the proof must still verify."""
-    fw = _build_framework(str(tmp_path))
-    fw.submit_many(_stream(8))
+    CentralLedger.verify_entry) must check the entry's stored leaf
+    bytes, not re-encode a payload — and the proof must still verify."""
+    from repro.ledger import central
+    from repro.obs.tracing import Tracer
+
+    fw = _build_framework(str(tmp_path), tracer=Tracer())
+    results = fw.submit_many(_stream(8))
     fw.close()
+    leaf_encodes = []
+    encode = central.encode_canonical_bytes
+    monkeypatch.setattr(
+        central, "encode_canonical_bytes",
+        lambda value: leaf_encodes.append(value) or encode(value),
+    )
     entry = fw.ledger.entry(5)
-    cached = entry.__dict__.get("_leaf_bytes")
-    assert cached is not None  # populated during the batched append
     digest = fw.ledger.digest()
     proof = fw.ledger.prove_inclusion(5)
     assert CentralLedger.verify_entry(digest, entry, proof)
-    assert entry.leaf_bytes() is cached  # same object: no re-encode
+    trail = fw.verification_trail(results[5].trace_id)
+    assert trail["verified"] and trail["sequence"] == 5
+    assert trail["payload"] == entry.payload
+    assert leaf_encodes == []  # neither path built leaf bytes again
+    # The wrapper does count: a forged entry has to encode its payload.
+    LedgerEntry(sequence=5, payload=trail["payload"])
+    assert len(leaf_encodes) == 1
 
 
 if __name__ == "__main__":

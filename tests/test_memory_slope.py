@@ -1,0 +1,254 @@
+"""What a decided update leaves resident, and what importing costs.
+
+The rule the ledger, outcome and database layers keep: once
+``Pipeline.run_batch`` returns, a decided update is its table row, one
+ledger entry (sequence + canonical leaf bytes, plus the leaf hash in the
+tree) and one slotted result record.  Three deployment shapes are held
+to a traced-bytes-per-update budget — tracemalloc, ``gc.collect()``
+before each reading, the slope between two readings so set-up and
+warm-up cancel — and an object-graph walk checks that none of the three
+stores keeps a ``dict`` per update besides the row itself.
+
+Budgets are this tree's measurement + 15 %.  The parent commit
+(d2cb1cb: payload dict + decision dict + memoised bytes per entry,
+dict-backed result records, ``Database.log`` images, a transcript copy)
+read, with the same code:
+
+    shape                         parent    this tree   budget
+    plaintext, row predicate       2,925      1,570      1,800
+    3 replicas, LocalDriver        7,563      3,593      4,130
+    Paillier, signed updates       3,338      2,082      2,390   (B/update)
+
+Print the current readings with ``PYTHONPATH=src python
+tests/test_memory_slope.py``.
+"""
+
+import gc
+import subprocess
+import sys
+import tracemalloc
+from types import BuiltinFunctionType, FunctionType, ModuleType
+
+import pytest
+
+import repro
+from repro.common.randomness import deterministic_rng
+from repro.consensus.driver import LocalDriver
+from repro.core.contexts import single_private_database
+from repro.core.replicated import ReplicatedShard
+from repro.crypto.paillier import generate_paillier_keypair
+from repro.database.engine import Database
+from repro.database.expr import col, lit
+from repro.database.schema import ColumnType, TableSchema
+from repro.model.constraints import (
+    Constraint,
+    ConstraintKind,
+    upper_bound_regulation,
+)
+from repro.model.participants import DataProducer
+from repro.model.update import Update, UpdateOperation
+from repro.parallel.executors import SERIAL_EXECUTOR
+
+BUDGET_BYTES_PER_UPDATE = {"plain": 1800, "replicated": 4130,
+                           "paillier": 2390}
+CHUNK = 32
+
+
+# -- the three shapes ---------------------------------------------------------
+
+
+def build_emissions():
+    """Plaintext engine, one row-predicate regulation ``co2 <= 90``."""
+    database = Database("manager")
+    database.create_table(TableSchema.build(
+        "emissions",
+        [("id", ColumnType.INT), ("org", ColumnType.TEXT),
+         ("co2", ColumnType.INT)], primary_key=["id"]))
+    regulation = Constraint(
+        name="co2-limit", kind=ConstraintKind.REGULATION,
+        predicate=col("co2") <= lit(90), tables=("emissions",),
+        constraint_id="cst-slope-co2")
+    # The serial executor is the default; naming it keeps the slope the
+    # same under CI's REPRO_EXECUTOR=process matrix entry.
+    return single_private_database(database, [regulation],
+                                   engine="plaintext",
+                                   executor=SERIAL_EXECUTOR)
+
+
+def emissions_updates(start: int, count: int):
+    """A quarter of the stream breaks the limit, like the benchmark's."""
+    return [
+        Update(table="emissions", operation=UpdateOperation.INSERT,
+               payload={"id": i, "org": f"org-{i % 256:03d}",
+                        "co2": (30, 30, 30, 95)[i % 4]},
+               update_id=f"e{i:08d}")
+        for i in range(start, start + count)
+    ]
+
+
+def build_tasks_paillier():
+    """Paillier engine, per-worker cap, signed updates required."""
+    database = Database("manager")
+    database.create_table(TableSchema.build(
+        "tasks",
+        [("id", ColumnType.INT), ("worker", ColumnType.TEXT),
+         ("hours", ColumnType.INT)], primary_key=["id"]))
+    cap = upper_bound_regulation("flsa", "tasks", "hours", 400, ["worker"])
+    cap.constraint_id = "cst-slope-flsa"
+    framework = single_private_database(database, [cap], engine="paillier",
+                                        executor=SERIAL_EXECUTOR)
+    framework.engine.keypair = generate_paillier_keypair(
+        256, rng=deterministic_rng(7))
+    framework.require_signed_updates = True
+    return framework
+
+
+def signed_task_updates(producer):
+    def make(start: int, count: int):
+        return [
+            Update(table="tasks", operation=UpdateOperation.INSERT,
+                   payload={"id": i, "worker": f"w{i % 64:03d}",
+                            "hours": 1 + i % 8},
+                   update_id=f"t{i:08d}").sign_with(producer)
+            for i in range(start, start + count)
+        ]
+    return make
+
+
+def traced_bytes_per_update(submit, make_updates, updates: int) -> float:
+    """Slope of live traced bytes over ``updates`` decided updates,
+    after a warm-up of a quarter as many; the caller's own update list
+    is dropped before each reading (whatever still holds an update is
+    the system's)."""
+    def run(start: int, count: int) -> int:
+        for at in range(start, start + count, CHUNK):
+            submit(make_updates(at, CHUNK))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    warm = updates // 4
+    tracemalloc.start()
+    try:
+        before = run(0, warm)
+        after = run(warm, updates)
+    finally:
+        tracemalloc.stop()
+    return (after - before) / updates
+
+
+def measure(shape: str) -> float:
+    if shape == "plain":
+        framework = build_emissions()
+        return traced_bytes_per_update(
+            framework.submit_many, emissions_updates, 1024)
+    if shape == "replicated":
+        shard = ReplicatedShard(build_emissions, replicas=3,
+                                driver=LocalDriver())
+        return traced_bytes_per_update(
+            shard.submit_many, emissions_updates, 1024)
+    framework = build_tasks_paillier()
+    return traced_bytes_per_update(
+        framework.submit_many,
+        signed_task_updates(DataProducer("slope-producer")), 256)
+
+
+@pytest.mark.parametrize("shape", sorted(BUDGET_BYTES_PER_UPDATE))
+def test_retained_bytes_per_decided_update(shape):
+    assert measure(shape) <= BUDGET_BYTES_PER_UPDATE[shape]
+
+
+# -- what the three stores are made of ----------------------------------------
+
+_OPAQUE = (type, ModuleType, FunctionType, BuiltinFunctionType)
+
+
+def dicts_reachable(root, stop_at=()) -> int:
+    """Plain ``dict`` objects reachable from ``root`` through the object
+    graph (instance ``__dict__``s included), not descending into
+    classes, modules, functions or instances of ``stop_at``."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE + tuple(stop_at)):
+            continue
+        seen.add(id(obj))
+        count += type(obj) is dict
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_no_store_keeps_a_dict_per_update_besides_the_table_row():
+    framework = build_emissions()
+    decided = 512
+    for at in range(0, decided, CHUNK):
+        framework.submit_many(emissions_updates(at, CHUNK))
+    table = framework.databases[0].table("emissions")
+    assert len(framework.ledger) == decided and 0 < len(table) < decided
+    constant = 16  # instance __dict__s, tree and index bookkeeping
+    assert dicts_reachable(framework.ledger) <= constant
+    # A result record holds its update (whose payload dict is the
+    # producer's) and an outcome; neither record is dict-backed.
+    assert dicts_reachable(framework.results, stop_at=(Update,)) <= constant
+    assert dicts_reachable(framework.databases[0]) <= len(table) + constant
+
+
+# -- import on demand ---------------------------------------------------------
+
+
+def test_update_path_import_leaves_the_rest_of_the_tree_unloaded():
+    probe = (
+        "import sys; import repro.core.framework; "
+        "print([m for m in ('http.server', 'multiprocessing', "
+        "'concurrent.futures', 'repro.chain', 'repro.consensus.pbft', "
+        "'repro.privacy', 'repro.core.sharded', 'repro.obs.server') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=60, check=True,
+        env={"PYTHONPATH": ":".join(p for p in sys.path if p)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_lazy_packages_export_what_they_declare():
+    import ast
+    import importlib
+    import pkgutil
+
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    assert len(packages) == 17
+    for package in packages:
+        # What ruff's F822 checks: every __all__ entry is bound
+        # statically — here by the `if TYPE_CHECKING:` imports, which
+        # must name exactly what the lazy table resolves.
+        with open(package.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        static = {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names} - {"TYPE_CHECKING", "lazy_exports"}
+        exported = set(package.__all__) - {"__version__"}
+        assert static == exported, package.__name__
+        assert exported <= set(dir(package))
+        for name in exported:
+            assert getattr(package, name) is not None, (package, name)
+            assert name in vars(package)  # cached: resolved once
+        with pytest.raises(AttributeError):
+            package.no_such_name
+    # The spellings the README and the quickstart use.
+    from repro import PReVer, single_private_database as spd  # noqa: F401
+    from repro.crypto import MerkleTree, zkp
+
+    assert PReVer is importlib.import_module("repro.core.framework").PReVer
+    assert MerkleTree.__module__ == "repro.crypto.merkle"
+    assert zkp is sys.modules["repro.crypto.zkp"]
+
+
+if __name__ == "__main__":
+    for shape in sorted(BUDGET_BYTES_PER_UPDATE):
+        print(f"{shape:12s} {measure(shape):8.0f} B/update "
+              f"(budget {BUDGET_BYTES_PER_UPDATE[shape]})")
