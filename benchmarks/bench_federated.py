@@ -1,49 +1,26 @@
-"""E5 (RC2): token vs. MPC federated regulation enforcement — plus the
-federated deployment bench: consensus choice x shard count x network.
+"""E5 (RC2): token vs. MPC federated regulation enforcement — a shape.
 
 The paper's centralized/decentralized split: tokens are nearly free per
 update but need a trusted authority; MPC removes the authority at a
 steep and platform-count-sensitive cost.  The report sweeps the number
-of platforms to find the shape (token flat, MPC superlinear).
+of platforms to find the shape (token flat, MPC superlinear), next to
+the non-private demarcation baseline.  It is not performance evidence
+(see ``benchmarks/e2e/README.md``).
 
-The federated family prices the replication layer head-to-head (the
-paper's Paxos-vs-PBFT discussion): a consensus-backed
-:class:`~repro.core.sharded.ShardedPReVer` under each replication
-driver (local / paxos / pbft / sharper), across shard counts and
-simulated network profiles (lan / wan), measuring wall throughput and
-ordering p50/p99 — and asserting every configuration converges to the
-*same* root-of-roots as the LocalDriver baseline at that shard count
-(per-batch cross-replica root equality is asserted inside
-:class:`~repro.core.replicated.ReplicatedShard` on every decided
-batch).  Writes ``BENCH_federated.json``.  Standalone:
-
-    PYTHONPATH=src python benchmarks/bench_federated.py [--smoke]
+    PYTHONPATH=src python -m pytest benchmarks/bench_federated.py \
+        --benchmark-only -s
 """
 
-import argparse
-import functools
 import itertools
-import json
 import time
 
-try:
-    import pytest
-except ImportError:  # standalone --smoke runs don't need pytest
-    pytest = None
+import pytest
 
-from repro.consensus.driver import ReplicationPlan
 from repro.core.federated import MPCVerifier, TokenVerifier
-from repro.core.framework import PReVer
-from repro.core.sharded import ShardedPReVer, ShardSpec
 from repro.database.engine import Database
 from repro.database.schema import ColumnType, TableSchema
-from repro.model.constraints import (
-    Constraint,
-    ConstraintKind,
-    upper_bound_regulation,
-)
+from repro.model.constraints import upper_bound_regulation
 from repro.model.update import Update, UpdateOperation
-from repro.net.simnet import NETWORK_PROFILES
 
 from _report import print_table
 
@@ -74,174 +51,6 @@ def task(manager="p0"):
     )
 
 
-# -- the federated consensus family (replication layer head-to-head) --------
-
-def federated_table(index):
-    return f"t{index}"
-
-
-def build_federated_shard(name, table, replica=0):
-    """Module-level builder for one consensus-backed shard replica.
-
-    Deterministic (pinned constraint id, fresh SimClock per framework)
-    so every replica — and the LocalDriver baseline — produces the
-    same decision and anchor bytes for the same decided order.
-    """
-    db = Database(name)
-    db.create_table(TableSchema.build(
-        table,
-        [("id", ColumnType.INT), ("who", ColumnType.TEXT),
-         ("amount", ColumnType.INT)],
-        primary_key=["id"],
-    ))
-    framework = PReVer([db])
-    template = upper_bound_regulation("cap", table, "amount", 50, ["who"])
-    framework.register_constraint(Constraint(
-        name="cap", kind=ConstraintKind.INTERNAL,
-        aggregate=template.aggregate, comparison=template.comparison,
-        bound=50, tables=(table,), constraint_id=f"cst-{name}-cap",
-    ))
-    return framework
-
-
-def federated_specs(n_shards):
-    return [
-        ShardSpec(
-            f"f{i}", (federated_table(i),),
-            functools.partial(build_federated_shard, f"f{i}",
-                              federated_table(i)),
-        )
-        for i in range(n_shards)
-    ]
-
-
-def federated_stream(n_shards, n_updates):
-    """Round-robin across the shards' tables; the 50-cap per (who,
-    table) trips after two accepts, so the stream exercises both
-    decision paths deterministically."""
-    return [
-        Update(
-            table=federated_table(i % n_shards),
-            operation=UpdateOperation.INSERT,
-            payload={"id": i, "who": f"w{i % 4}", "amount": 20},
-            update_id=f"fed-{i:05d}",
-        )
-        for i in range(n_updates)
-    ]
-
-
-def _run_sharded(sharded, stream, chunk):
-    start = time.perf_counter()
-    for lo in range(0, len(stream), chunk):
-        sharded.submit_many(stream[lo:lo + chunk])
-    return time.perf_counter() - start
-
-
-def run_federated_consensus(
-    drivers=("local", "paxos", "pbft", "sharper"),
-    shard_counts=(1, 2),
-    profiles=("lan", "wan"),
-    updates=120,
-    chunk=12,
-    replicas=2,
-    out_path="BENCH_federated.json",
-):
-    """The consensus x shards x network sweep.
-
-    Every row replays the same per-shard-count stream; the LocalDriver
-    baseline's root-of-roots is the reference every consensus-backed
-    row must (and does, asserted) reproduce — ordering is a total
-    order over the same batches, so the state machines converge.
-    """
-    baselines = {}
-    for n_shards in shard_counts:
-        baseline = ShardedPReVer(federated_specs(n_shards))
-        seconds = _run_sharded(baseline,
-                               federated_stream(n_shards, updates), chunk)
-        baselines[n_shards] = {
-            "root": baseline.digest().root.hex(),
-            "seconds": seconds,
-        }
-        baseline.close()
-    rows = []
-    for n_shards, driver, profile in itertools.product(
-            shard_counts, drivers, profiles):
-        if driver == "local" and profile != profiles[0]:
-            continue  # no network under the local driver
-        plan = ReplicationPlan(kind=driver, replicas=replicas,
-                               profile=profile)
-        sharded = ShardedPReVer(federated_specs(n_shards), consensus=plan)
-        seconds = _run_sharded(sharded,
-                               federated_stream(n_shards, updates), chunk)
-        digest = sharded.digest()  # asserts cross-replica convergence
-        root = digest.root.hex()
-        decide = sharded.metrics.timer("consensus.decide")
-        report = sharded.consensus_report()
-        clusters = {
-            name: stats["cluster"]
-            for name, stats in report.items() if "cluster" in stats
-        }
-        row = {
-            "driver": driver,
-            "shards": n_shards,
-            "profile": profile if driver != "local" else None,
-            "replicas": replicas,
-            "updates": updates,
-            "seconds": seconds,
-            "per_sec": updates / seconds,
-            "decide_p50_ms": decide.percentile(50) * 1e3,
-            "decide_p99_ms": decide.percentile(99) * 1e3,
-            "root": root,
-            "root_matches_local": root == baselines[n_shards]["root"],
-            "clusters": clusters,
-        }
-        sharded.close()
-        if not row["root_matches_local"]:
-            raise AssertionError(
-                f"{driver}/{profile} at {n_shards} shards diverged from "
-                f"the local baseline root"
-            )
-        rows.append(row)
-    artifact = {
-        "experiment": "E-federated",
-        "description": "consensus-backed sharded deployment: replication "
-                       "driver (local/paxos/pbft/sharper) x shard count x "
-                       "simulated network profile vs wall throughput and "
-                       "ordering p50/p99, with root-of-roots equality "
-                       "asserted against the LocalDriver baseline and "
-                       "per-batch cross-replica root equality asserted "
-                       "inside ReplicatedShard",
-        "updates": updates,
-        "chunk": chunk,
-        "replicas": replicas,
-        "profiles": {name: NETWORK_PROFILES[name].to_dict()
-                     for name in profiles if name in NETWORK_PROFILES},
-        "baselines": baselines,
-        "rows": rows,
-    }
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2)
-    return artifact
-
-
-FEDERATED_HEADERS = ["driver", "shards", "profile", "throughput",
-                     "decide-p50", "decide-p99", "root==local"]
-
-
-def federated_rows(artifact):
-    return [
-        [
-            r["driver"], r["shards"], r["profile"] or "-",
-            f"{r['per_sec']:.0f}/s",
-            f"{r['decide_p50_ms']:.2f}ms",
-            f"{r['decide_p99_ms']:.2f}ms",
-            "yes" if r["root_matches_local"] else "NO",
-        ]
-        for r in artifact["rows"]
-    ]
-
-
 def test_token_verification_cost(benchmark):
     engine = TokenVerifier(flsa())
 
@@ -249,36 +58,12 @@ def test_token_verification_cost(benchmark):
                        iterations=1, warmup_rounds=1)
 
 
-if pytest is not None:
-
-    @pytest.mark.parametrize("platforms", [2, 4])
-    def test_mpc_verification_cost(benchmark, platforms):
-        dbs = [platform_db(f"p{i}") for i in range(platforms)]
-        engine = MPCVerifier(dbs, flsa(bound=1000), width=10)
-        benchmark.pedantic(lambda: engine.verify(task(), 0.0), rounds=3,
-                           iterations=1)
-
-
-def test_federated_consensus_report(benchmark, capsys):
-    """The replication-layer head-to-head, smoke-sized: every driver at
-    1 and 2 shards on lan/wan must reproduce the LocalDriver baseline's
-    root-of-roots (the artifact write itself asserts it)."""
-    artifact = {}
-
-    def sweep():
-        artifact.update(run_federated_consensus(updates=48, chunk=12))
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-    with capsys.disabled():
-        print_table(
-            "E-federated: consensus x shards x network",
-            FEDERATED_HEADERS,
-            federated_rows(artifact),
-        )
-    assert all(r["root_matches_local"] for r in artifact["rows"])
-    drivers = {r["driver"] for r in artifact["rows"]}
-    assert {"local", "paxos", "pbft", "sharper"} <= drivers
-    assert {r["shards"] for r in artifact["rows"]} == {1, 2}
+@pytest.mark.parametrize("platforms", [2, 4])
+def test_mpc_verification_cost(benchmark, platforms):
+    dbs = [platform_db(f"p{i}") for i in range(platforms)]
+    engine = MPCVerifier(dbs, flsa(bound=1000), width=10)
+    benchmark.pedantic(lambda: engine.verify(task(), 0.0), rounds=3,
+                       iterations=1)
 
 
 def test_federated_report(benchmark, capsys):
@@ -327,44 +112,3 @@ def test_federated_report(benchmark, capsys):
             ["mechanism", "platforms", "cost/update", "trust", "notes"],
             rows,
         )
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="federated deployment: consensus x shards x network"
-    )
-    parser.add_argument("--updates", type=int, default=240,
-                        help="stream length per configuration")
-    parser.add_argument("--chunk", type=int, default=24,
-                        help="submit_many batch size (one consensus "
-                             "proposal per chunk)")
-    parser.add_argument("--replicas", type=int, default=2,
-                        help="state-machine replicas per shard")
-    parser.add_argument("--shards", type=int, nargs="+", default=[1, 2],
-                        help="shard counts to sweep")
-    parser.add_argument("--profiles", nargs="+", default=["lan", "wan"],
-                        help="simulated network profiles to sweep")
-    parser.add_argument("--out", default="BENCH_federated.json",
-                        help="artifact path ('' to skip writing)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny stream (CI-sized); same grid")
-    args = parser.parse_args(argv)
-    updates = 48 if args.smoke else args.updates
-    chunk = 12 if args.smoke else args.chunk
-    artifact = run_federated_consensus(
-        shard_counts=tuple(args.shards),
-        profiles=tuple(args.profiles),
-        updates=updates, chunk=chunk, replicas=args.replicas,
-        out_path=args.out,
-    )
-    print_table(
-        "E-federated: consensus x shards x network",
-        FEDERATED_HEADERS,
-        federated_rows(artifact),
-    )
-    if args.out:
-        print(f"wrote {args.out}")
-
-
-if __name__ == "__main__":
-    main()

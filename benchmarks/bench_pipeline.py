@@ -1,68 +1,35 @@
-"""E1 (Figure 2): end-to-end pipeline throughput per RC1 engine.
+"""E1 (Figure 2): per-update pipeline cost per RC1 engine — a shape.
 
-Measures the full submit() path — authenticate, verify, apply, anchor —
-for the sustainability workload, across the engine menu.  The series to
+Runs the full submit() path — authenticate, verify, apply, anchor — on
+the sustainability workload across the engine menu.  The series to
 observe: plaintext >> enclave > zkp/paillier (crypto dominates), the
-overhead ordering the paper predicts for RC1's technique menu.
+overhead ordering the paper predicts for RC1's technique menu, on a
+handful of updates over shallow state.  It is not performance
+evidence: end-to-end throughput and latency come from
+``benchmarks/e2e/run.py`` only (see ``benchmarks/e2e/README.md``).
 
-Also measures the batched fast path (``submit_many``: constraint
-routing, incremental aggregate cache, one Merkle anchor per batch,
-Paillier offline randomness) against sequential ``submit`` on the same
-update stream, asserting decision/digest equivalence, and compares the
-multicore execution layer (``--executor process --workers N``) against
-serial ``submit_many`` on the crypto-heavy Paillier path.  With
-``--durability`` it additionally prices the crash-safety layer: the
-same stream under durability off / wal (group-commit) / wal with an
-fsync per record / wal+snapshot, asserting the ledger root is
-identical in every mode.  ``--shards 1 2 4`` scales the same plaintext
-stream across a table-partitioned ``ShardedPReVer`` (one worker
-process per shard), asserting for every shard count that serial and
-process dispatch reach identical decisions and the identical
-root-of-roots, and reporting throughput vs the 1-shard baseline.
-A profiler-overhead row prices the wall-mode sampling profiler
-against the default profiler-absent path on the same stream (root
-equality asserted, <=5% overhead gate; ``--profile-out`` keeps the
-collapsed stacks).  Batched rows carry per-stage p50/p99 latency.
-Everything is written to ``BENCH_pipeline.json``.  Standalone:
-
-    PYTHONPATH=src python benchmarks/bench_pipeline.py [--smoke]
-        [--executor {serial,process}] [--workers N] [--durability]
-        [--shards N [N ...]] [--profile-out PATH]
+    PYTHONPATH=src python -m pytest benchmarks/bench_pipeline.py \
+        --benchmark-only -s
 """
 
-import argparse
-import functools
-import gc
-import hashlib
 import itertools
-import json
-import os
-import random
-import tempfile
 import time
 
+import pytest
+
 from repro.core.contexts import single_private_database
-from repro.core.sharded import ShardedPReVer, ShardSpec
-from repro.crypto import backend as math_backend
-from repro.crypto.backend import FixedBaseTable, multi_exp
-from repro.crypto.group import SchnorrGroup
-from repro.crypto.paillier import generate_paillier_keypair
 from repro.database.engine import Database
 from repro.database.schema import ColumnType, TableSchema
-from repro.durability import Durability
 from repro.model.constraints import upper_bound_regulation
 from repro.model.update import Update, UpdateOperation
-from repro.obs.export import metrics_to_json
-from repro.parallel import ParallelExecutor
 
 from _report import print_table
 
 ENGINES = ["plaintext", "enclave", "paillier", "zkp"]
-BATCH_ENGINES = ["plaintext", "paillier"]
 _ids = itertools.count()
 
 
-def build(engine, executor=None, durability=None):
+def build(engine):
     db = Database("mgr")
     db.create_table(TableSchema.build(
         "emissions",
@@ -73,11 +40,7 @@ def build(engine, executor=None, durability=None):
     regulation = upper_bound_regulation(
         "cap", "emissions", "co2", 10**7, ["org"]
     )
-    # Deterministic id so independently built frameworks (sequential vs
-    # batched, durable vs not) anchor byte-identical decision records.
-    regulation.constraint_id = "cst-emissions-cap"
-    return single_private_database(db, [regulation], engine=engine,
-                                   executor=executor, durability=durability)
+    return single_private_database(db, [regulation], engine=engine)
 
 
 def one_update(framework):
@@ -88,1314 +51,40 @@ def one_update(framework):
     ))
 
 
-def make_stream(n):
-    """A deterministic update stream (fixed update_ids so sequential
-    and batched frameworks build byte-identical ledgers)."""
-    return [
-        Update(
-            table="emissions", operation=UpdateOperation.INSERT,
-            payload={"id": i, "org": f"org{i % 8}", "co2": 10},
-            update_id=f"upd-{i:07d}",
-        )
-        for i in range(n)
-    ]
+@pytest.mark.parametrize("engine", ENGINES)
+def test_pipeline_update_cost(benchmark, engine):
+    framework = build(engine)
+    benchmark.pedantic(one_update, args=(framework,), rounds=10,
+                       iterations=3, warmup_rounds=1)
 
 
-def compare_batched_vs_sequential(engine, n_updates):
-    """Time the same stream through submit() and submit_many().
+def test_pipeline_report(benchmark, capsys):
+    """Prints the E1 summary row set (stage timings per engine)."""
+    rows = []
 
-    Returns a result dict with both throughputs and the speedup, after
-    asserting the two pipelines agreed on every decision and produced
-    the same ledger digest.
-    """
-    seq_fw, bat_fw = build(engine), build(engine)
-    if engine == "paillier":
-        # Offline phase: bank r^n mod n² obfuscators ahead of time.
-        bat_fw.engine.precompute(n_updates)
-
-    # GC hygiene: collect before each timed section and pause the
-    # collector during it, so neither path pays for the garbage the
-    # other produced (the usual timeit/pytest-benchmark discipline).
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        seq_results = [seq_fw.submit(u) for u in stream]
-        seq_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        bat_results = bat_fw.submit_many(stream)
-        bat_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    assert [r.applied for r in seq_results] == [r.applied for r in bat_results]
-    assert seq_fw.ledger.digest().root == bat_fw.ledger.digest().root, \
-        "batched anchoring must reproduce the sequential digest"
-
-    stages = bat_fw.throughput_report()["stages"]
-    stage_totals = {stage: stats["total"] for stage, stats in stages.items()}
-    # Per-update latency distribution per stage: the p50/p99 pair the
-    # serving-tier items size against (tail, not just mean).
-    stage_latency = {
-        stage: {"p50": stats["p50"], "p99": stats["p99"]}
-        for stage, stats in stages.items()
-    }
-    # Verify-stage share of the batched wall clock, charging the
-    # batch-prepare phase (front-loaded contribution encryption) to
-    # verify — the figure the fast-math backend attacks.
-    verify_seconds = stage_totals.get("verify", 0.0) + \
-        bat_fw.metrics.timer_total("pipeline.prepare_batch")
-    return {
-        "engine": engine,
-        "updates": n_updates,
-        "sequential_seconds": seq_elapsed,
-        "batched_seconds": bat_elapsed,
-        "sequential_per_sec": n_updates / seq_elapsed,
-        "batched_per_sec": n_updates / bat_elapsed,
-        "speedup": seq_elapsed / bat_elapsed,
-        "verify_seconds": verify_seconds,
-        "verify_share": verify_seconds / bat_elapsed,
-        "batched_stage_totals": stage_totals,
-        "batched_stage_latency": stage_latency,
-        # Stable, versioned exporter schema (repro.obs.export): the
-        # batched framework's full counter/timer telemetry, sorted so
-        # consecutive artifacts diff cleanly.
-        "batched_metrics": metrics_to_json(bat_fw.metrics),
-    }
-
-
-def compare_parallel_vs_serial(engine="paillier", n_updates=300, workers=4):
-    """Time the same ``submit_many`` stream under the serial and the
-    process-pool executors.
-
-    Asserts decision and digest equivalence (the execution layer's core
-    guarantee), then reports wall-clock and per-stage speedups.  The
-    verify-stage figure charges the parallel run for its batch-prepare
-    time (contribution encryption happens before the per-update stage
-    timers).
-    """
-    host_cpus = os.cpu_count() or 1
-    serial_fw = build(engine)
-    parallel_fw = build(engine, executor=ParallelExecutor(workers=workers))
-
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        serial_results = serial_fw.submit_many(stream)
-        serial_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        parallel_results = parallel_fw.submit_many(stream)
-        parallel_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    assert [r.applied for r in serial_results] == \
-        [r.applied for r in parallel_results]
-    assert serial_fw.ledger.digest().root == parallel_fw.ledger.digest().root, \
-        "parallel execution must reproduce the serial digest"
-
-    def stage_totals(fw):
-        totals = {stage: stats["total"]
-                  for stage, stats in fw.throughput_report()["stages"].items()}
-        # Charge prepared work (parallel contribution encryption) to
-        # the verify stage it front-loads.
-        totals["verify"] = totals.get("verify", 0.0) + \
-            fw.metrics.timer_total("pipeline.prepare_batch")
-        return totals
-
-    def stage_latency(fw):
-        return {stage: {"p50": stats["p50"], "p99": stats["p99"]}
-                for stage, stats in fw.throughput_report()["stages"].items()}
-
-    serial_stages = stage_totals(serial_fw)
-    parallel_stages = stage_totals(parallel_fw)
-    stage_speedup = {
-        stage: (serial_stages[stage] / parallel_stages[stage]
-                if parallel_stages.get(stage) else None)
-        for stage in serial_stages
-    }
-    note = ""
-    if host_cpus < workers:
-        note = (f"host exposes {host_cpus} CPU(s) for {workers} workers: "
-                f"process-pool fan-out cannot exceed 1x here; speedups "
-                f"reflect pure overhead, not the layer's ceiling")
-    return {
-        "engine": engine,
-        "mode": "parallel-vs-serial",
-        "updates": n_updates,
-        "workers": workers,
-        "host_cpus": host_cpus,
-        "serial_seconds": serial_elapsed,
-        "parallel_seconds": parallel_elapsed,
-        "serial_per_sec": n_updates / serial_elapsed,
-        "parallel_per_sec": n_updates / parallel_elapsed,
-        "speedup": serial_elapsed / parallel_elapsed,
-        "verify_stage_speedup": stage_speedup.get("verify"),
-        "stage_speedup": stage_speedup,
-        "serial_stage_totals": serial_stages,
-        "parallel_stage_totals": parallel_stages,
-        "serial_stage_latency": stage_latency(serial_fw),
-        "parallel_stage_latency": stage_latency(parallel_fw),
-        "note": note,
-    }
-
-
-#: The sharded comparison partitions this many tables round-robin
-#: across shards, so every shard count divides the stream evenly.
-SHARD_TABLE_COUNT = 4
-
-
-def shard_table_names():
-    return [f"emissions_{k}" for k in range(SHARD_TABLE_COUNT)]
-
-
-def build_shard_framework(name, tables):
-    """Module-level (picklable) builder: one shard's framework owning
-    ``tables``, with one deterministic cap regulation per table."""
-    db = Database(name)
-    regulations = []
-    for table in tables:
-        db.create_table(TableSchema.build(
-            table,
-            [("id", ColumnType.INT), ("org", ColumnType.TEXT),
-             ("co2", ColumnType.INT)],
-            primary_key=["id"],
-        ))
-        regulation = upper_bound_regulation(
-            f"cap-{table}", table, "co2", 10**7, ["org"]
-        )
-        regulation.constraint_id = f"cst-{table}-cap"
-        regulations.append(regulation)
-    return single_private_database(db, regulations, engine="plaintext")
-
-
-def sharded_specs(shard_count):
-    """Partition the fixed table set round-robin across ``shard_count``
-    shards (matching the round-robin update stream, so load is even)."""
-    tables = shard_table_names()
-    specs = []
-    for i in range(shard_count):
-        owned = tuple(tables[i::shard_count])
-        specs.append(ShardSpec(
-            f"shard{i}", owned,
-            functools.partial(build_shard_framework, f"shard{i}", owned),
-        ))
-    return specs
-
-
-def make_sharded_stream(n):
-    """Deterministic stream round-robining over the shard tables."""
-    tables = shard_table_names()
-    return [
-        Update(
-            table=tables[i % len(tables)], operation=UpdateOperation.INSERT,
-            payload={"id": i, "org": f"org{i % 8}", "co2": 10},
-            update_id=f"upd-{i:07d}",
-        )
-        for i in range(n)
-    ]
-
-
-def compare_sharded(shard_counts, n_updates):
-    """Scale the same plaintext stream across shard counts.
-
-    For each count, runs the stream through a serial-dispatch and a
-    process-dispatch ``ShardedPReVer`` over the identical partitioning
-    and asserts they reach identical per-update decisions and the
-    identical Merkle root-of-roots (dispatch must never change an
-    outcome).  Decisions are also asserted identical across shard
-    counts.  Reports process-dispatch throughput and the speedup vs
-    the first (baseline) shard count.
-    """
-    host_cpus = os.cpu_count() or 1
-    results = []
-    baseline_decisions = None
-    for count in shard_counts:
-        serial_fw = ShardedPReVer(sharded_specs(count), dispatch="serial")
-        stream = make_sharded_stream(n_updates)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            serial_results = serial_fw.submit_many(stream)
-            serial_elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-
-        # Worker processes (and their in-worker frameworks) are built
-        # before the timed section: steady-state throughput, not spawn
-        # cost, is what sharding is priced on.
-        process_fw = ShardedPReVer(sharded_specs(count), dispatch="process")
-        stream = make_sharded_stream(n_updates)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            process_results = process_fw.submit_many(stream)
-            process_elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-
-        decisions = [r.applied for r in serial_results]
-        assert decisions == [r.applied for r in process_results], \
-            f"dispatch changed decisions at {count} shard(s)"
-        serial_digest = serial_fw.digest()
-        process_digest = process_fw.digest()
-        assert serial_digest.root == process_digest.root, \
-            f"dispatch changed the root-of-roots at {count} shard(s)"
-        assert serial_digest.shard_roots == process_digest.shard_roots
-        if baseline_decisions is None:
-            baseline_decisions = decisions
-        assert decisions == baseline_decisions, \
-            f"shard count {count} changed decisions vs the baseline"
-
-        note = ""
-        if host_cpus < count:
-            note = (f"host exposes {host_cpus} CPU(s) for {count} "
-                    f"shard worker(s): shard fan-out cannot exceed 1x "
-                    f"here; speedups reflect pure dispatch overhead")
-        results.append({
-            "mode": "sharded",
-            "engine": "plaintext",
-            "shards": count,
-            "updates": n_updates,
-            "host_cpus": host_cpus,
-            "serial_seconds": serial_elapsed,
-            "process_seconds": process_elapsed,
-            "serial_per_sec": n_updates / serial_elapsed,
-            "process_per_sec": n_updates / process_elapsed,
-            "root_of_roots": serial_digest.root.hex(),
-            "shard_sizes": list(serial_digest.shard_sizes),
-            "note": note,
-        })
-        serial_fw.close()
-        process_fw.close()
-    base = results[0]["process_seconds"]
-    for result in results:
-        result["speedup_vs_baseline"] = base / result["process_seconds"]
-    return results
-
-
-# -- fast-math backend and exponentiation kernels ---------------------------
-
-def _available_backends():
-    """``["python"]`` plus ``"gmpy2"`` when importable."""
-    names = ["python"]
-    if math_backend._load_gmpy2() is not None:
-        names.append("gmpy2")
-    return names
-
-
-def _timed_loop(fn, values):
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        out = [fn(v) for v in values]
-        return time.perf_counter() - start, out
-    finally:
-        gc.enable()
-
-
-def compare_backends(paillier_updates=200, kernel_ops=400, seed=1234):
-    """Price the fast-math layer: backends x kernels x the Paillier path.
-
-    Three comparisons, every one with a value-equality assert:
-
-    * **kernels** (per backend): fixed-base table vs builtin ``pow``
-      on the Schnorr-generator shape, and Straus ``multi_exp`` vs a
-      product of independent ``pow`` calls on the RLC shape;
-    * **verify kernel** (per backend): the Paillier CRT decrypt inner
-      exponentiation on a full-size (512-bit) key — the operation the
-      gmpy2 2x acceptance gate is measured on;
-    * **end-to-end** (per backend): the batched Paillier pipeline on
-      the same stream, asserting every backend reaches the identical
-      ledger root.
-    """
-    rng = random.Random(seed)
-    group = SchnorrGroup.default()
-    exponents = [rng.randrange(1, group.q) for _ in range(kernel_ops)]
-    rlc_pairs = [
-        (rng.randrange(2, group.p), rng.randrange(1, 1 << 384))
-        for _ in range(64)
-    ]
-    keypair = generate_paillier_keypair(512, rng=None)
-    n_sq = keypair.public_key.n_squared
-    decrypt_inputs = [
-        keypair.public_key.encrypt(rng.randrange(0, 1 << 64)).value
-        for _ in range(max(24, kernel_ops // 8))
-    ]
-
-    kernels, verify_kernel, paillier_rows = [], [], []
-    baseline_root = None
-    for name in _available_backends():
-        math_backend.set_backend(name)
-
-        # Kernel 1: fixed-base windowed table vs builtin pow, same base.
-        table = FixedBaseTable(group.g, group.p, group.q.bit_length())
-        pow_elapsed, pow_out = _timed_loop(
-            lambda e: pow(group.g, e, group.p), exponents)
-        fb_elapsed, fb_out = _timed_loop(table.pow, exponents)
-        assert fb_out == pow_out, "fixed-base kernel diverged from pow"
-
-        # Kernel 2: Straus multi-exp vs independent pows (RLC shape).
-        def naive_rlc(_):
-            acc = 1
-            for base, exponent in rlc_pairs:
-                acc = acc * pow(base, exponent, group.p) % group.p
-            return acc
-
-        naive_elapsed, naive_out = _timed_loop(naive_rlc, range(8))
-        straus_elapsed, straus_out = _timed_loop(
-            lambda _: multi_exp(rlc_pairs, group.p), range(8))
-        assert straus_out == naive_out, "multi_exp diverged from pow product"
-
-        kernels.append({
-            "backend": name,
-            "ops": kernel_ops,
-            "pow_seconds": pow_elapsed,
-            "fixed_base_seconds": fb_elapsed,
-            "fixed_base_speedup": pow_elapsed / fb_elapsed,
-            "fixed_base_entries": table.entries,
-            "multi_exp_speedup": naive_elapsed / straus_elapsed,
-        })
-
-        # The Paillier verify inner op: CRT decrypt on a 512-bit key.
-        dec_elapsed, dec_out = _timed_loop(
-            keypair.private_key._decrypt_crt_value, decrypt_inputs)
-        verify_kernel.append({
-            "backend": name,
-            "key_bits": 512,
-            "ops": len(decrypt_inputs),
-            "seconds": dec_elapsed,
-            "decrypts_per_sec": len(decrypt_inputs) / dec_elapsed,
-            "outputs_digest": hashlib.sha256(
-                repr(dec_out).encode()).hexdigest()[:16],
-        })
-
-        # End-to-end: the batched Paillier pipeline under this backend.
-        framework = build("paillier")
-        framework.engine.precompute(paillier_updates)
-        stream = make_stream(paillier_updates)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            framework.submit_many(stream)
-            elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-        root = framework.ledger.digest().root
-        if baseline_root is None:
-            baseline_root = root
-        assert root == baseline_root, \
-            f"backend {name!r} changed the ledger root"
-        verify_seconds = (
-            framework.throughput_report()["stages"]
-            .get("verify", {}).get("total", 0.0)
-            + framework.metrics.timer_total("pipeline.prepare_batch")
-        )
-        paillier_rows.append({
-            "backend": name,
-            "updates": paillier_updates,
-            "seconds": elapsed,
-            "per_sec": paillier_updates / elapsed,
-            "verify_seconds": verify_seconds,
-            "root": root.hex(),
-        })
-    math_backend.set_backend(None)  # back to the environment's choice
-
-    by_backend = {r["backend"]: r for r in verify_kernel}
-    assert len({r["outputs_digest"] for r in verify_kernel}) == 1, \
-        "backends disagreed on decrypted plaintexts"
-    result = {
-        "backends": [r["backend"] for r in kernels],
-        "kernels": kernels,
-        "verify_kernel": verify_kernel,
-        "paillier": paillier_rows,
-    }
-    if "gmpy2" in by_backend:
-        result["gmpy2_verify_kernel_speedup"] = (
-            by_backend["python"]["seconds"] / by_backend["gmpy2"]["seconds"]
-        )
-        end_to_end = {r["backend"]: r for r in paillier_rows}
-        result["gmpy2_pipeline_speedup"] = (
-            end_to_end["python"]["seconds"] / end_to_end["gmpy2"]["seconds"]
-        )
-    return result
-
-
-def _wal_sha256(state_dir):
-    """sha256 over every WAL segment, oldest first."""
-    wal_dir = os.path.join(state_dir, "wal")
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(wal_dir)):
-        with open(os.path.join(wal_dir, name), "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()
-
-
-# -- profiler overhead -------------------------------------------------------
-
-def compare_profiler_overhead(engine="plaintext", n_updates=400, chunk=100,
-                              repeats=3, interval=0.005, profile_out=""):
-    """Price the always-on-capable sampling profiler: the same chunked
-    ``submit_many`` stream with the wall-mode sampler attached vs the
-    default (profiler absent) path.
-
-    Asserts the profiled run reproduces the unprofiled ledger root (the
-    observe-don't-perturb invariant), takes the best of ``repeats``
-    runs per configuration, and reports the overhead ratio the <=5%
-    gate binds on.  With ``profile_out`` the last profiled run's
-    collapsed stacks are written there (flamegraph.pl input).
-    """
-    from repro.obs.profiler import SamplingProfiler
-
-    def timed_run(profiler):
-        # REPRO_PROFILE is stripped for the build: the framework ctor
-        # would otherwise attach an env profiler to the "off" side and
-        # the row would compare profiled against profiled.
-        saved = os.environ.pop("REPRO_PROFILE", None)
-        try:
+    def sweep():
+        rows.clear()
+        for engine in ENGINES:
             framework = build(engine)
-        finally:
-            if saved is not None:
-                os.environ["REPRO_PROFILE"] = saved
-        if profiler is not None:
-            framework.profiler = profiler
-            profiler.start()
-        stream = make_stream(n_updates)
-        gc.collect()
-        gc.disable()
-        try:
             start = time.perf_counter()
-            for i in range(0, n_updates, chunk):
-                framework.submit_many(stream[i:i + chunk])
-            seconds = time.perf_counter() - start
-        finally:
-            gc.enable()
-            if profiler is not None:
-                profiler.stop()
-        return seconds, framework.ledger.digest().root
+            n = 20
+            for _ in range(n):
+                one_update(framework)
+            elapsed = time.perf_counter() - start
+            verify_mean = framework.engine.metrics.timer(
+                f"{framework.engine.name}.check"
+            ).mean
+            rows.append([
+                engine,
+                f"{n / elapsed:.0f}/s",
+                f"{verify_mean * 1e3:.3f}ms",
+                f"{framework.acceptance_rate():.2f}",
+            ])
 
-    baseline_root = None
-    off_best = on_best = None
-    profiler = SamplingProfiler(mode="wall", interval=interval)
-    # Alternate off/on so drift (thermal, host load) hits both equally.
-    for _ in range(repeats):
-        off_seconds, off_root = timed_run(None)
-        if baseline_root is None:
-            baseline_root = off_root
-        assert off_root == baseline_root
-        if off_best is None or off_seconds < off_best:
-            off_best = off_seconds
-        on_seconds, on_root = timed_run(profiler)
-        assert on_root == baseline_root, \
-            "profiled run changed the ledger root"
-        if on_best is None or on_seconds < on_best:
-            on_best = on_seconds
-
-    row = {
-        "mode": "profiler-overhead",
-        "engine": engine,
-        "updates": n_updates,
-        "chunk": chunk,
-        "repeats": repeats,
-        "profiler": profiler.describe(),
-        "off_seconds": off_best,
-        "on_seconds": on_best,
-        "off_per_sec": n_updates / off_best,
-        "on_per_sec": n_updates / on_best,
-        "overhead": on_best / off_best,
-        "stage_report": profiler.stage_report(),
-        "root": baseline_root.hex(),
-    }
-    if profile_out:
-        row["profile_out"] = profile_out
-        row["stacks_written"] = profiler.write_collapsed(profile_out)
-    return row
-
-
-#: Durability pricing menu: label -> policy factory (None = off).
-#: ``wal`` is the group-commit default (fsync once per anchored batch);
-#: ``wal-fsync-each`` additionally fsyncs every update record (the
-#: power-cut-safe worst case); ``wal+snapshot`` adds checkpoints.
-DURABILITY_MODES = [
-    ("off", None),
-    ("wal", lambda d: Durability.wal(d)),
-    ("wal-fsync-each", lambda d: Durability.wal(d, fsync_every=1)),
-    ("wal+snapshot",
-     lambda d: Durability.wal_with_snapshots(d, snapshot_every=100)),
-]
-
-
-def compare_durability(engine="plaintext", n_updates=600, chunk=100):
-    """Price the crash-safety layer on the batched pipeline.
-
-    Runs the same chunked ``submit_many`` stream under each durability
-    mode, asserting the ledger root matches the durability-off run in
-    every mode (the layer must not change a single decision or anchor),
-    then reports per-mode throughput, overhead vs off, and the fsync /
-    WAL-byte counters that explain it.
-    """
-    results = []
-    baseline_root = None
-    for label, make_policy in DURABILITY_MODES:
-        with tempfile.TemporaryDirectory(prefix="bench-durable-") as tmp:
-            durability = make_policy(tmp) if make_policy else None
-            framework = build(engine, durability=durability)
-            stream = make_stream(n_updates)
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                for i in range(0, n_updates, chunk):
-                    framework.submit_many(stream[i:i + chunk])
-                elapsed = time.perf_counter() - start
-            finally:
-                gc.enable()
-            root = framework.ledger.digest().root
-            if baseline_root is None:
-                baseline_root = root
-            assert root == baseline_root, \
-                f"durability mode {label!r} changed the ledger root"
-            metrics = framework.metrics
-            results.append({
-                "mode": label,
-                "engine": engine,
-                "updates": n_updates,
-                "chunk": chunk,
-                "seconds": elapsed,
-                "per_sec": n_updates / elapsed,
-                "fsyncs": metrics.counter_value("durability.fsyncs"),
-                "wal_records": metrics.counter_value("durability.wal_records"),
-                "wal_bytes": metrics.counter_total("durability.wal_bytes"),
-                "snapshots": metrics.counter_value("durability.snapshots"),
-                "wal_append_seconds":
-                    metrics.timer_total("durability.wal_append"),
-                "fsync_seconds": metrics.timer_total("durability.fsync"),
-            })
-            framework.close()
-    base = results[0]["seconds"]
-    for result in results:
-        result["overhead_vs_off"] = result["seconds"] / base
-    return results
-
-
-# -- encode-once layer ------------------------------------------------------
-
-def _anchor_shaped_payloads(n):
-    """Decision-record-shaped dicts (the anchor stage's actual output
-    shape) for the encoder microbench."""
-    return [
-        {
-            "update_id": f"upd-{i:07d}",
-            "decision": {
-                "applied": True,
-                "constraint_id": "cst-emissions-cap",
-                "reason": None,
-                "engine": "plaintext",
-            },
-            "update": {
-                "table": "emissions",
-                "operation": "insert",
-                "payload": {"id": i, "org": f"org{i % 8}", "co2": 10},
-                "producers": [],
-                "visibility": "private",
-            },
-        }
-        for i in range(n)
-    ]
-
-
-def compare_encoding(n_payloads=2000, repeats=3, e2e_updates=600,
-                     e2e_chunk=100):
-    """Price the encode-once layer against the legacy encoder.
-
-    Microbench: each anchor payload used to be canonically encoded
-    three independent times per submit (signing body, Merkle leaf, WAL
-    frame).  The encode-once path encodes it once with the fast encoder
-    and splices the fragment (``RawJson``) into the leaf and WAL
-    wrappers.  Gates (enforced in ``main``): the encode-once pattern
-    must beat the legacy 3-encode pattern by >= 2x, and the uncached
-    fast encoder must not lose to the legacy encoder.  Byte equality
-    with the legacy encoder is asserted for every payload.
-
-    End-to-end: a durable plaintext batched run whose ledger leaves
-    and WAL frames were produced by fragment splicing, re-verified two
-    ways — every Merkle leaf recomputed from scratch with the legacy
-    encoder (root equality), and every WAL frame re-framed from its
-    decoded record (byte equality across all segments).
-    """
-    from repro.common.encoding import (
-        RawJson,
-        encode_canonical,
-        legacy_canonical_json,
-    )
-    from repro.crypto.merkle import MerkleTree
-    from repro.durability.wal import WriteAheadLog, encode_record
-
-    payloads = _anchor_shaped_payloads(n_payloads)
-    for payload in payloads:
-        assert encode_canonical(payload) == legacy_canonical_json(payload), \
-            "fast encoder output diverged from the legacy encoder"
-
-    def legacy_3x():
-        # The pre-change hot path: sign body, Merkle leaf, WAL frame
-        # each re-encode the payload through the legacy encoder.
-        for sequence, payload in enumerate(payloads):
-            legacy_canonical_json(payload)
-            legacy_canonical_json(
-                {"sequence": sequence, "payload": payload}
-            )
-            legacy_canonical_json(
-                {"lsn": sequence, "type": "anchor",
-                 "data": {"payloads": [payload]}}
-            )
-
-    def encode_once():
-        # The new hot path: one fast encode, then fragment splices.
-        for sequence, payload in enumerate(payloads):
-            fragment = RawJson(encode_canonical(payload))
-            encode_canonical({"sequence": sequence, "payload": fragment})
-            encode_canonical(
-                {"lsn": sequence, "type": "anchor",
-                 "data": {"payloads": [fragment]}}
-            )
-
-    def fast_1x():
-        for payload in payloads:
-            encode_canonical(payload)
-
-    def legacy_1x():
-        for payload in payloads:
-            legacy_canonical_json(payload)
-
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(repeats):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            finally:
-                gc.enable()
-        return best
-
-    legacy_3x_seconds = best_of(legacy_3x)
-    encode_once_seconds = best_of(encode_once)
-    legacy_1x_seconds = best_of(legacy_1x)
-    fast_1x_seconds = best_of(fast_1x)
-
-    # End-to-end: durable plaintext batched run + from-scratch
-    # re-verification of everything the spliced fragments produced.
-    with tempfile.TemporaryDirectory(prefix="bench-encoding-") as tmp:
-        framework = build("plaintext", durability=Durability.wal(tmp))
-        stream = make_stream(e2e_updates)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for i in range(0, e2e_updates, e2e_chunk):
-                framework.submit_many(stream[i:i + e2e_chunk])
-            e2e_elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-        framework.close()
-        root = framework.ledger.digest().root
-
-        # Root equality: recompute every leaf with the legacy encoder.
-        shadow = MerkleTree(
-            legacy_canonical_json(
-                {"sequence": entry.sequence, "payload": entry.payload}
-            ).encode("utf-8")
-            for entry in framework.ledger.entries()
+    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    with capsys.disabled():
+        print_table(
+            "E1: Figure-2 pipeline, per-engine",
+            ["engine", "throughput", "verify-mean", "accept-rate"],
+            rows,
         )
-        assert shadow.root() == root, \
-            "spliced Merkle leaves diverged from legacy re-encoding"
-
-        # WAL byte equality: re-frame every decoded record and compare
-        # against the segment bytes on disk.
-        wal_sha = _wal_sha256(tmp)
-        reader = WriteAheadLog(os.path.join(tmp, "wal"))
-        reframed = hashlib.sha256()
-        n_records = 0
-        for lsn, record_type, data in reader.records():
-            reframed.update(encode_record(lsn, record_type, data))
-            n_records += 1
-        reader.close()
-        assert n_records == 0 or reframed.hexdigest() == wal_sha, \
-            "spliced WAL frames diverged from plain re-framing"
-
-    return {
-        "payloads": n_payloads,
-        "repeats": repeats,
-        "legacy_3x_seconds": legacy_3x_seconds,
-        "encode_once_seconds": encode_once_seconds,
-        "encode_once_speedup": legacy_3x_seconds / encode_once_seconds,
-        "legacy_1x_seconds": legacy_1x_seconds,
-        "fast_1x_seconds": fast_1x_seconds,
-        "fast_encoder_speedup": legacy_1x_seconds / fast_1x_seconds,
-        "e2e_engine": "plaintext",
-        "e2e_updates": e2e_updates,
-        "e2e_chunk": e2e_chunk,
-        "e2e_seconds": e2e_elapsed,
-        "e2e_per_sec": e2e_updates / e2e_elapsed,
-        "e2e_root": root.hex(),
-        "e2e_wal_sha256": wal_sha,
-        "e2e_wal_records": n_records,
-    }
-
-
-def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
-                         out_path="BENCH_pipeline.json", workers=4,
-                         parallel_updates=None, include_parallel=True,
-                         include_durability=False, durability_updates=600,
-                         shard_counts=(), sharded_updates=2000,
-                         include_backends=True, backend_updates=200,
-                         include_profiler=True,
-                         profiler_updates=400, profile_out="",
-                         include_encoding=True, encoding_payloads=2000,
-                         encoding_updates=600):
-    results = []
-    for engine in BATCH_ENGINES:
-        n = plaintext_updates if engine == "plaintext" else paillier_updates
-        results.append(compare_batched_vs_sequential(engine, n))
-    parallel = []
-    if include_parallel:
-        parallel.append(compare_parallel_vs_serial(
-            engine="paillier",
-            n_updates=parallel_updates or paillier_updates,
-            workers=workers,
-        ))
-    durability = []
-    if include_durability:
-        durability = compare_durability(n_updates=durability_updates)
-    sharded = []
-    if shard_counts:
-        sharded = compare_sharded(list(shard_counts), sharded_updates)
-    backends = {}
-    if include_backends:
-        backends = compare_backends(paillier_updates=backend_updates)
-    profiler = {}
-    if include_profiler:
-        profiler = compare_profiler_overhead(n_updates=profiler_updates,
-                                             profile_out=profile_out)
-    encoding = {}
-    if include_encoding:
-        encoding = compare_encoding(n_payloads=encoding_payloads,
-                                    e2e_updates=encoding_updates)
-    artifact = {
-        "experiment": "E1-batched",
-        "description": "batched (submit_many) vs sequential (submit) "
-                       "Figure-2 pipeline throughput, plus the multicore "
-                       "execution layer (process pool) vs serial on the "
-                       "Paillier verify path, the fast-math backend and "
-                       "exponentiation kernels (fixed-base, multi-exp) "
-                       "against builtin pow, plus (opt-in) the durability "
-                       "layer's fsync cost per mode and the sharded "
-                       "front-end's scaling across shard counts, plus "
-                       "the sampling profiler's overhead row (on vs "
-                       "off, same stream, <=5% gate), and the "
-                       "encode-once layer (fast canonical encoder + "
-                       "fragment splicing) against the legacy "
-                       "3-encodes-per-submit pattern with byte-equality "
-                       "asserts on roots and WAL frames",
-        "results": results,
-        "parallel": parallel,
-        "durability": durability,
-        "sharded": sharded,
-        "backends": backends,
-        "profiler": profiler,
-        "encoding": encoding,
-    }
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2)
-    return artifact
-
-
-def batch_rows(artifact):
-    return [
-        [
-            r["engine"], r["updates"],
-            f"{r['sequential_per_sec']:.0f}/s",
-            f"{r['batched_per_sec']:.0f}/s",
-            f"{r['speedup']:.1f}x",
-            f"{r['verify_share'] * 100:.0f}%",
-            _latency_cell(r, "p50"),
-            _latency_cell(r, "p99"),
-        ]
-        for r in artifact["results"]
-    ]
-
-
-def _latency_cell(result, quantile):
-    """Verify-stage per-update latency cell (ms) for the batch table."""
-    stats = result.get("batched_stage_latency", {}).get("verify")
-    return f"{stats[quantile] * 1e3:.3f}ms" if stats else "-"
-
-
-BATCH_HEADERS = ["engine", "updates", "sequential", "batched", "speedup",
-                 "verify-share", "verify-p50", "verify-p99"]
-
-
-def print_profiler_table(artifact):
-    r = artifact.get("profiler") or {}
-    if not r:
-        return
-    print_table(
-        "E1-profiler: wall-mode sampling overhead (submit_many, "
-        "profiler on vs off)",
-        ["engine", "updates", "off", "on", "overhead", "samples"],
-        [[
-            r["engine"], r["updates"],
-            f"{r['off_per_sec']:.0f}/s",
-            f"{r['on_per_sec']:.0f}/s",
-            f"{(r['overhead'] - 1.0) * 100:+.1f}%",
-            str(r["profiler"]["samples"]),
-        ]],
-    )
-    if r.get("profile_out"):
-        print(f"wrote {r['stacks_written']} collapsed stacks to "
-              f"{r['profile_out']}")
-
-
-def print_encoding_table(artifact):
-    r = artifact.get("encoding") or {}
-    if not r:
-        return
-    print_table(
-        "E1-encoding: encode-once (fast encoder + splice) vs legacy "
-        "3-encodes-per-submit",
-        ["payloads", "legacy-3x", "encode-once", "speedup",
-         "fast-1x", "e2e-plaintext"],
-        [[
-            r["payloads"],
-            f"{r['legacy_3x_seconds'] * 1e3:.1f}ms",
-            f"{r['encode_once_seconds'] * 1e3:.1f}ms",
-            f"{r['encode_once_speedup']:.1f}x",
-            f"{r['fast_encoder_speedup']:.2f}x",
-            f"{r['e2e_per_sec']:.0f}/s",
-        ]],
-    )
-
-
-def backend_rows(artifact):
-    backends = artifact.get("backends") or {}
-    kernels = {k["backend"]: k for k in backends.get("kernels", [])}
-    verify = {v["backend"]: v for v in backends.get("verify_kernel", [])}
-    return [
-        [
-            r["backend"], r["updates"],
-            f"{r['per_sec']:.0f}/s",
-            f"{verify[r['backend']]['decrypts_per_sec']:.0f}/s",
-            f"{kernels[r['backend']]['fixed_base_speedup']:.2f}x",
-            f"{kernels[r['backend']]['multi_exp_speedup']:.2f}x",
-        ]
-        for r in backends.get("paillier", [])
-    ]
-
-
-def print_backend_table(artifact):
-    rows = backend_rows(artifact)
-    if not rows:
-        return
-    print_table(
-        "E1-backend: fast-math backends and exponentiation kernels",
-        ["backend", "updates", "paillier", "crt-decrypt",
-         "fixed-base", "multi-exp"],
-        rows,
-    )
-    backends = artifact["backends"]
-    if "gmpy2_verify_kernel_speedup" in backends:
-        print(f"gmpy2 verify-kernel speedup: "
-              f"{backends['gmpy2_verify_kernel_speedup']:.2f}x "
-              f"(pipeline: {backends['gmpy2_pipeline_speedup']:.2f}x)")
-
-
-def parallel_rows(artifact):
-    return [
-        [
-            r["engine"], r["updates"],
-            f"{r['workers']}w/{r['host_cpus']}cpu",
-            f"{r['serial_per_sec']:.0f}/s",
-            f"{r['parallel_per_sec']:.0f}/s",
-            f"{r['speedup']:.2f}x",
-            (f"{r['verify_stage_speedup']:.2f}x"
-             if r.get("verify_stage_speedup") else "-"),
-        ]
-        for r in artifact.get("parallel", [])
-    ]
-
-
-def print_parallel_table(artifact):
-    rows = parallel_rows(artifact)
-    if not rows:
-        return
-    print_table(
-        "E1-parallel: process-pool vs serial executor (submit_many)",
-        ["engine", "updates", "workers", "serial", "parallel",
-         "wall-speedup", "verify-speedup"],
-        rows,
-    )
-    for r in artifact.get("parallel", []):
-        if r.get("note"):
-            print(f"note: {r['note']}")
-
-
-def sharded_rows(artifact):
-    return [
-        [
-            str(r["shards"]), r["updates"],
-            f"{r['serial_per_sec']:.0f}/s",
-            f"{r['process_per_sec']:.0f}/s",
-            f"{r['speedup_vs_baseline']:.2f}x",
-            r["root_of_roots"][:12],
-        ]
-        for r in artifact.get("sharded", [])
-    ]
-
-
-def print_sharded_table(artifact):
-    rows = sharded_rows(artifact)
-    if not rows:
-        return
-    print_table(
-        "E1-sharded: table-partitioned front-end (process dispatch)",
-        ["shards", "updates", "serial", "process",
-         "speedup-vs-base", "root-of-roots"],
-        rows,
-    )
-    for r in artifact.get("sharded", []):
-        if r.get("note"):
-            print(f"note: {r['note']}")
-
-
-def durability_rows(artifact):
-    return [
-        [
-            r["mode"], r["updates"],
-            f"{r['per_sec']:.0f}/s",
-            f"{r['overhead_vs_off']:.2f}x",
-            str(r["fsyncs"]),
-            f"{r['wal_bytes'] / 1024:.0f}KiB" if r["wal_bytes"] else "-",
-            str(r["snapshots"]) if r["snapshots"] else "-",
-        ]
-        for r in artifact.get("durability", [])
-    ]
-
-
-def print_durability_table(artifact):
-    rows = durability_rows(artifact)
-    if not rows:
-        return
-    print_table(
-        "E1-durability: crash-safety cost per mode (submit_many, plaintext)",
-        ["mode", "updates", "throughput", "overhead", "fsyncs",
-         "wal-bytes", "snapshots"],
-        rows,
-    )
-
-
-try:
-    import pytest
-except ImportError:  # standalone invocation needs no pytest
-    pytest = None
-
-
-if pytest is not None:
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_pipeline_update_cost(benchmark, engine):
-        framework = build(engine)
-        benchmark.pedantic(one_update, args=(framework,), rounds=10,
-                           iterations=3, warmup_rounds=1)
-
-    def test_pipeline_report(benchmark, capsys):
-        """Prints the E1 summary row set (stage timings per engine)."""
-        rows = []
-
-        def sweep():
-            rows.clear()
-            for engine in ENGINES:
-                framework = build(engine)
-                start = time.perf_counter()
-                n = 20
-                for _ in range(n):
-                    one_update(framework)
-                elapsed = time.perf_counter() - start
-                verify_mean = framework.engine.metrics.timer(
-                    f"{framework.engine.name}.check"
-                ).mean
-                rows.append([
-                    engine,
-                    f"{n / elapsed:.0f}/s",
-                    f"{verify_mean * 1e3:.3f}ms",
-                    f"{framework.acceptance_rate():.2f}",
-                ])
-
-        benchmark.pedantic(sweep, rounds=1, iterations=1)
-        with capsys.disabled():
-            print_table(
-                "E1: Figure-2 pipeline, per-engine",
-                ["engine", "throughput", "verify-mean", "accept-rate"],
-                rows,
-            )
-
-    def test_pipeline_batched_report(benchmark, capsys):
-        """E1-batched: submit_many vs submit, plaintext and Paillier.
-
-        Writes BENCH_pipeline.json and asserts the batched plaintext
-        path clears the 5x bar on a 1k-update run.
-        """
-        artifact = {}
-
-        def sweep():
-            artifact.update(run_batch_comparison(
-                plaintext_updates=1000, paillier_updates=300,
-            ))
-
-        benchmark.pedantic(sweep, rounds=1, iterations=1)
-        with capsys.disabled():
-            print_table(
-                "E1-batched: submit_many vs submit",
-                BATCH_HEADERS,
-                batch_rows(artifact),
-            )
-            print_backend_table(artifact)
-        by_engine = {r["engine"]: r for r in artifact["results"]}
-        assert by_engine["plaintext"]["speedup"] >= 5.0
-        assert by_engine["paillier"]["speedup"] >= 1.0
-        # The crypto-heavy path is verify-dominated; the batched report
-        # must expose that share explicitly.
-        assert 0.0 < by_engine["paillier"]["verify_share"] <= 1.0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="batched vs sequential pipeline throughput"
-    )
-    parser.add_argument("--updates", type=int, default=1000,
-                        help="plaintext-engine stream length")
-    parser.add_argument("--paillier-updates", type=int, default=300,
-                        help="paillier-engine stream length")
-    parser.add_argument("--executor", choices=["serial", "process"],
-                        default="process",
-                        help="execution layer for the parallel comparison "
-                             "row ('serial' skips that row entirely)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="process-pool worker count for the parallel "
-                             "comparison row")
-    parser.add_argument("--out", default="BENCH_pipeline.json",
-                        help="artifact path ('' to skip writing)")
-    parser.add_argument("--metrics-out", default="",
-                        help="also write the batched plaintext run's "
-                             "metrics in the repro.obs.export JSON schema")
-    parser.add_argument("--durability", action="store_true",
-                        help="also price the crash-safety layer: the same "
-                             "stream under durability off / wal / "
-                             "wal-fsync-each / wal+snapshot, asserting the "
-                             "ledger root never changes")
-    parser.add_argument("--durability-updates", type=int, default=600,
-                        help="stream length for the durability comparison")
-    parser.add_argument("--shards", type=int, nargs="+", default=[],
-                        metavar="N",
-                        help="also scale the plaintext stream across a "
-                             "table-partitioned ShardedPReVer at each given "
-                             "shard count (e.g. --shards 1 2 4), asserting "
-                             "serial and process dispatch agree on every "
-                             "decision and on the Merkle root-of-roots")
-    parser.add_argument("--sharded-updates", type=int, default=2000,
-                        help="stream length for the sharded comparison")
-    parser.add_argument("--no-backends", action="store_true",
-                        help="skip the fast-math backend/kernel comparison")
-    parser.add_argument("--backend-updates", type=int, default=200,
-                        help="Paillier stream length per backend for the "
-                             "backend comparison")
-    parser.add_argument("--no-profiler", action="store_true",
-                        help="skip the sampling-profiler overhead row")
-    parser.add_argument("--profiler-updates", type=int, default=400,
-                        help="stream length for the profiler overhead row")
-    parser.add_argument("--profile-out", default="",
-                        help="write the profiled run's collapsed stacks "
-                             "(flamegraph.pl input) to this path")
-    parser.add_argument("--no-encoding", action="store_true",
-                        help="skip the encode-once layer comparison")
-    parser.add_argument("--encoding-payloads", type=int, default=2000,
-                        help="payload count for the encoder microbench")
-    parser.add_argument("--encoding-updates", type=int, default=600,
-                        help="stream length for the encode-once "
-                             "end-to-end row")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small streams; assert batched is not slower")
-    args = parser.parse_args(argv)
-    if args.updates <= 0 or args.paillier_updates <= 0 \
-            or args.durability_updates <= 0 or args.sharded_updates <= 0 \
-            or args.backend_updates <= 0 or args.profiler_updates <= 0 \
-            or args.encoding_payloads <= 0 or args.encoding_updates <= 0:
-        parser.error("stream lengths must be positive")
-    if args.workers <= 0:
-        parser.error("--workers must be positive")
-    if any(count <= 0 for count in args.shards):
-        parser.error("--shards counts must be positive")
-    if any(count > SHARD_TABLE_COUNT for count in args.shards):
-        parser.error(f"--shards counts above {SHARD_TABLE_COUNT} would "
-                     f"leave shards without tables")
-
-    if args.smoke:
-        args.updates = min(args.updates, 300)
-        args.paillier_updates = min(args.paillier_updates, 100)
-        args.durability_updates = min(args.durability_updates, 200)
-        args.sharded_updates = min(args.sharded_updates, 400)
-        args.backend_updates = min(args.backend_updates, 60)
-        args.profiler_updates = min(args.profiler_updates, 200)
-        args.encoding_payloads = min(args.encoding_payloads, 500)
-        args.encoding_updates = min(args.encoding_updates, 200)
-
-    artifact = run_batch_comparison(
-        plaintext_updates=args.updates,
-        paillier_updates=args.paillier_updates,
-        out_path=args.out,
-        workers=args.workers,
-        include_parallel=(args.executor == "process"),
-        include_durability=args.durability,
-        durability_updates=args.durability_updates,
-        shard_counts=args.shards,
-        sharded_updates=args.sharded_updates,
-        include_backends=not args.no_backends,
-        backend_updates=args.backend_updates,
-        include_profiler=not args.no_profiler,
-        profiler_updates=args.profiler_updates,
-        profile_out=args.profile_out,
-        include_encoding=not args.no_encoding,
-        encoding_payloads=args.encoding_payloads,
-        encoding_updates=args.encoding_updates,
-    )
-    print_table(
-        "E1-batched: submit_many vs submit",
-        BATCH_HEADERS,
-        batch_rows(artifact),
-    )
-    print_encoding_table(artifact)
-    print_backend_table(artifact)
-    print_parallel_table(artifact)
-    print_sharded_table(artifact)
-    print_durability_table(artifact)
-    print_profiler_table(artifact)
-    if args.out:
-        print(f"\nwrote {args.out}")
-    if args.metrics_out:
-        by_engine = {r["engine"]: r["batched_metrics"]
-                     for r in artifact["results"]}
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(by_engine, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.metrics_out}")
-
-    for result in artifact["results"]:
-        if result["speedup"] < 1.0:
-            raise SystemExit(
-                f"batched path slower than sequential for "
-                f"{result['engine']} ({result['speedup']:.2f}x)"
-            )
-    backends = artifact.get("backends") or {}
-    for kernel in backends.get("kernels", []):
-        # The fixed-base gate: even the pure-python table must beat the
-        # builtin C pow on the generator shape (that is the whole point
-        # of the kernel); the Straus kernel likewise.
-        if kernel["backend"] == "python" \
-                and kernel["fixed_base_speedup"] < 1.0:
-            raise SystemExit(
-                f"pure-python fixed-base kernel slower than builtin pow "
-                f"({kernel['fixed_base_speedup']:.2f}x)"
-            )
-    if "gmpy2_verify_kernel_speedup" in backends \
-            and backends["gmpy2_verify_kernel_speedup"] < 2.0:
-        # Binds only when gmpy2 is importable (the CI gmpy2 job).
-        raise SystemExit(
-            f"gmpy2 Paillier verify kernel speedup "
-            f"{backends['gmpy2_verify_kernel_speedup']:.2f}x below the "
-            f"2x bar"
-        )
-    encoding_row = artifact.get("encoding") or {}
-    if encoding_row:
-        # The tentpole gate: one fast encode + fragment splices must
-        # beat the legacy 3-encodes-per-submit pattern by >= 2x.
-        if encoding_row["encode_once_speedup"] < 2.0:
-            raise SystemExit(
-                f"encode-once speedup "
-                f"{encoding_row['encode_once_speedup']:.2f}x below the "
-                f"2x bar"
-            )
-        # Regression floor: the uncached fast encoder must never lose
-        # to the legacy encoder on the anchor-payload shape.
-        if encoding_row["fast_encoder_speedup"] < 1.0:
-            raise SystemExit(
-                f"fast encoder slower than the legacy encoder "
-                f"({encoding_row['fast_encoder_speedup']:.2f}x)"
-            )
-    profiler_row = artifact.get("profiler") or {}
-    if profiler_row and not args.smoke and profiler_row["overhead"] > 1.05:
-        # The always-on promise: sampling must cost <= 5% of the
-        # unprofiled throughput (best-of-N on both sides filters host
-        # noise; smoke streams are too short to measure this fairly).
-        raise SystemExit(
-            f"profiler overhead {(profiler_row['overhead'] - 1) * 100:.1f}% "
-            f"above the 5% bar"
-        )
-    if not args.smoke:
-        plaintext = next(r for r in artifact["results"]
-                         if r["engine"] == "plaintext")
-        if plaintext["speedup"] < 5.0:
-            raise SystemExit(
-                f"plaintext batched speedup {plaintext['speedup']:.2f}x "
-                f"below the 5x bar"
-            )
-        for result in artifact.get("parallel", []):
-            # The 2x verify-stage bar only binds when the host can
-            # actually run the workers concurrently; capped hosts
-            # document the cap in the artifact's ``note`` instead.
-            if (result["host_cpus"] >= result["workers"]
-                    and (result.get("verify_stage_speedup") or 0.0) < 2.0):
-                raise SystemExit(
-                    f"parallel verify-stage speedup "
-                    f"{result['verify_stage_speedup']:.2f}x below the 2x bar "
-                    f"at {result['workers']} workers on "
-                    f"{result['host_cpus']} CPUs"
-                )
-        for result in artifact.get("sharded", []):
-            # Same CPU caveat: the 2x-at-4-shards bar only binds on
-            # hosts that can run 4 shard workers concurrently.
-            if (result["shards"] >= 4
-                    and result["host_cpus"] >= result["shards"]
-                    and result["speedup_vs_baseline"] < 2.0):
-                raise SystemExit(
-                    f"sharded speedup {result['speedup_vs_baseline']:.2f}x "
-                    f"at {result['shards']} shards below the 2x bar on "
-                    f"{result['host_cpus']} CPUs"
-                )
-    return artifact
-
-
-if __name__ == "__main__":
-    main()

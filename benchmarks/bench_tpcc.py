@@ -44,7 +44,7 @@ def run_regulated():
     # Run the mix; route each stock write through the framework.
     original_update = db.update
 
-    def regulated_update(table, key, changes, update_id=None):
+    def regulated_update(table, key, changes):
         if table == "stock":
             # Route through the pipeline; restore the raw update method
             # while the framework applies so it doesn't recurse back in.
@@ -59,7 +59,7 @@ def run_regulated():
             if not result.applied:
                 raise AssertionError("constraint rejected a valid decrement")
             return changes
-        return original_update(table, key, changes, update_id=update_id)
+        return original_update(table, key, changes)
 
     db.update = regulated_update
     workload.run_mix(db, TRANSACTIONS)

@@ -1,9 +1,14 @@
-"""Shared benchmark fixtures and reporting helpers.
+"""Shared fixtures for the paper-shape benches.
 
-Every bench file maps to one experiment in DESIGN.md's per-experiment
-index (E1-E14).  Benches print their result tables to stdout (run with
-``pytest benchmarks/ --benchmark-only -s`` to see them inline); the
-shapes are recorded in EXPERIMENTS.md.
+Every ``bench_*.py`` here maps to one experiment in DESIGN.md's
+per-experiment index (E1-E15) and reproduces a *shape* the paper
+predicts — an ordering, a knee, a growth rate — on a handful of
+operations over shallow state, mostly in simulated time.  They are
+shapes, not performance evidence: throughput, latency and speed-up
+figures come from ``benchmarks/e2e/run.py`` only (see
+``benchmarks/e2e/README.md``).  Benches print their tables to stdout
+(``pytest benchmarks/ --benchmark-only -s``); the shapes are recorded
+in EXPERIMENTS.md.
 """
 
 import os

@@ -383,6 +383,9 @@ class ApplyStage(Stage):
                     .set_attribute("reason", str(exc)) \
                     .end(t_apply)
             update.mark_rejected(f"apply failed: {exc}")
+            if fw.engine is not None and hasattr(fw.engine,
+                                                 "note_apply_failed"):
+                fw.engine.note_apply_failed(update)
             prior = ctx.outcome
             ctx.outcome = VerificationOutcome(
                 accepted=False, engine=prior.engine,

@@ -79,6 +79,9 @@ class BaseVerifier:
         # crypto work only (e.g. contribution encryption), never for
         # the order-dependent aggregate state machine.
         self.executor = SERIAL_EXECUTOR
+        # What the last accepted update's totals replaced, as (store,
+        # key, previous) — see :meth:`_verify_running_totals`.
+        self._replaced: List[tuple] = []
 
     def bind_tracer(self, tracer) -> None:
         self.tracer = tracer
@@ -122,6 +125,38 @@ class BaseVerifier:
 
     def note_applied(self, update: Update, now: float) -> None:
         pass
+
+    def note_apply_failed(self, update: Update) -> None:
+        """The database refused the update this engine just accepted
+        (duplicate key, missing row): put back the running totals its
+        contribution replaced, so only applied updates stay counted —
+        the state :meth:`replay_applied` rebuilds after a crash."""
+        for store, key, previous in self._replaced:
+            if previous is None:
+                del store[key]
+            else:
+                store[key] = previous
+        self._replaced = []
+
+    def _verify_running_totals(self, update: Update) -> VerificationOutcome:
+        """``verify`` for engines that keep running totals: ask
+        ``_check_one`` per routed constraint for the ``(store, key,
+        total)`` entries it would write (None = rejected), and store
+        them only once every constraint has accepted — an update a later
+        constraint rejects leaves no total behind."""
+        proposals: List[tuple] = []
+        timer = f"{self.name}.check"
+        for constraint in self.constraints_for(update):
+            with self.metrics.timed(timer):
+                proposed = self._check_one(constraint, update)
+            if proposed is None:
+                return self._outcome(False, failed=constraint.constraint_id)
+            proposals.extend(proposed)
+        self._replaced = [(store, key, store.get(key))
+                          for store, key, _ in proposals]
+        for store, key, total in proposals:
+            store[key] = total
+        return self._outcome(True)
 
     # -- durability hooks (see repro.durability) --------------------------
     #
@@ -313,14 +348,12 @@ class PaillierVerifier(BaseVerifier):
         self._prepared.update(zip(keys, ciphertexts))
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
-        for constraint in self.constraints_for(update):
-            with self.metrics.timed("paillier.check"):
-                ok = self._check_one(constraint, update)
-            if not ok:
-                return self._outcome(False, failed=constraint.constraint_id)
-        return self._outcome(True)
+        return self._verify_running_totals(update)
 
-    def _check_one(self, constraint: Constraint, update: Update) -> bool:
+    def _check_one(self, constraint: Constraint,
+                   update: Update) -> Optional[List[tuple]]:
+        """The ``(store, group, ciphertext)`` entry this constraint
+        would write, or None when the owner rejects the proposed total."""
         group = self._group_key(constraint, update)
         tracing = self.tracer.enabled
         prepared = self._prepared.pop(
@@ -353,9 +386,7 @@ class PaillierVerifier(BaseVerifier):
         accepted = constraint.comparison.apply(
             plaintext / self.scale, float(constraint.bound)
         )
-        if accepted:
-            aggregates[group] = proposed
-        return accepted
+        return [(aggregates, group, proposed)] if accepted else None
 
     def apply_to_store(self, update: Update) -> None:
         """Hook for contexts that also maintain an encrypted table."""
@@ -482,14 +513,12 @@ class ZKPVerifier(BaseVerifier):
         }
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
-        for constraint in self.constraints_for(update):
-            with self.metrics.timed("zkp.check"):
-                ok = self._check_one(constraint, update)
-            if not ok:
-                return self._outcome(False, failed=constraint.constraint_id)
-        return self._outcome(True)
+        return self._verify_running_totals(update)
 
-    def _check_one(self, constraint: Constraint, update: Update) -> bool:
+    def _check_one(self, constraint: Constraint,
+                   update: Update) -> Optional[List[tuple]]:
+        """The manager- and owner-side ``(store, group, value)`` entries
+        this constraint would write, or None when it rejects."""
         group = tuple(
             update.payload.get(col) for col in constraint.aggregate.match_columns
         )
@@ -509,7 +538,7 @@ class ZKPVerifier(BaseVerifier):
             # The producer cannot construct a valid proof; an honest
             # client refuses, a cheating client's proof won't verify.
             self.metrics.counter("zkp.refused").add()
-            return False
+            return None
         # Producer: commit to the new total and prove the bound.
         # GE totals grow without bound, so widen the proof as needed.
         bits = max(self.bits, int(new_total).bit_length() + 1)
@@ -528,10 +557,12 @@ class ZKPVerifier(BaseVerifier):
         self._observe(("commitment", commitment.value))
         accepted = verify(self.committer, commitment, proof)
         self.metrics.counter("zkp.proofs_verified").add()
-        if accepted:
-            self._commitments[constraint.constraint_id][group] = commitment
-            secrets[group] = (new_total, randomness)
-        return accepted
+        if not accepted:
+            return None
+        return [
+            (self._commitments[constraint.constraint_id], group, commitment),
+            (secrets, group, (new_total, randomness)),
+        ]
 
 
 class EnclaveVerifier(BaseVerifier):

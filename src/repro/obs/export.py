@@ -3,8 +3,9 @@
 Both exporters read a :class:`~repro.common.metrics.MetricsRegistry`
 snapshot and emit metrics in sorted-name order, so two runs of the same
 experiment produce byte-identical artifacts modulo the measured values
-— the property ``benchmarks/bench_pipeline.py`` relies on when it
-embeds the batched pipeline's metrics in ``BENCH_pipeline.json``.
+— the property
+``tests/test_obs_events_export.py::test_metrics_json_artifact_is_stable_across_runs``
+holds for the documents CI archives.
 
 The JSON schema is versioned (:data:`METRICS_SCHEMA_VERSION`); any
 field rename or semantic change must bump it so downstream consumers

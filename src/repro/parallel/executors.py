@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 #: ``ParallelExecutor`` runs such batches inline.
 DEFAULT_MIN_ITEMS = 8
 
-#: Adaptive chunking aims for at least this much measured work per
+#: Chunk planning aims for at least this much measured work per
 #: submitted chunk, so pool dispatch (~0.1–1 ms per chunk) stays a
 #: small fraction of each chunk's runtime.
 TARGET_CHUNK_SECONDS = 0.005
@@ -45,7 +45,6 @@ _COST_ALPHA = 0.3
 
 _ENV_EXECUTOR = "REPRO_EXECUTOR"
 _ENV_WORKERS = "REPRO_WORKERS"
-_ENV_ADAPTIVE = "REPRO_ADAPTIVE_CHUNKS"
 
 
 def split_chunks(items: Sequence, n_chunks: int) -> List[List]:
@@ -166,16 +165,12 @@ class ParallelExecutor(Executor):
 
     def __init__(self, workers: Optional[int] = None,
                  min_items: int = DEFAULT_MIN_ITEMS,
-                 tracer=None, adaptive: Optional[bool] = None):
+                 tracer=None):
         if workers is not None and workers <= 0:
             raise PReVerError("ParallelExecutor needs a positive worker count")
         self.workers = workers or os.cpu_count() or 1
         self.min_items = min_items
         self.tracer = tracer or NOOP_TRACER
-        if adaptive is None:
-            raw = os.environ.get(_ENV_ADAPTIVE, "").strip().lower()
-            adaptive = raw not in ("0", "false", "off", "no")
-        self.adaptive = adaptive
         # Measured per-item cost (seconds, EWMA) per map label.  The
         # first batch under a label always takes the full fan-out (no
         # measurement yet — assume the work is expensive); later
@@ -208,11 +203,6 @@ class ParallelExecutor(Executor):
             return True  # lazily started; nothing to be broken yet
         return not getattr(pool, "_broken", False)
 
-    def describe(self) -> dict:
-        """Identification for bench artifacts and reports."""
-        return {"executor": self.name, "workers": self.workers,
-                "adaptive": self.adaptive}
-
     def _submit(self, pool, fn, chunk):
         if self._metrics is not None:
             return pool.submit(instrumented_chunk, fn, chunk)
@@ -238,7 +228,7 @@ class ParallelExecutor(Executor):
         recovers an (optimistic) serial-equivalent per-item cost, which
         is the quantity the chunk planner predicts with.
         """
-        if not self.adaptive or n_items <= 0 or elapsed <= 0.0:
+        if n_items <= 0 or elapsed <= 0.0:
             return
         sample = elapsed * n_chunks / n_items
         prior = self._cost_ewma.get(label)
@@ -254,8 +244,6 @@ class ParallelExecutor(Executor):
         ~:data:`TARGET_CHUNK_SECONDS` of predicted work, capped at the
         worker count; 1 means run inline.  Unmeasured labels take the
         full fan-out (expensive until proven cheap)."""
-        if not self.adaptive:
-            return self.workers
         cost = self._cost_ewma.get(label)
         if cost is None:
             return self.workers

@@ -21,7 +21,8 @@ This package bridges that gap with a small asyncio serving stack:
 
 Everything here is transport: the served decision stream and anchored
 roots are byte-identical to calling ``submit_many`` in-process on the
-same total update order (``benchmarks/bench_serve.py`` asserts it).
+same total update order
+(``tests/test_serve_server.py::test_served_equals_in_process_*``).
 """
 
 from typing import TYPE_CHECKING

@@ -15,8 +15,8 @@ That single thread is a correctness decision, not just a convenience:
 :class:`~repro.core.framework.PReVer` is not thread-safe, and running
 every batch on one thread in admission order makes the served decision
 stream *identical* to calling ``submit_many`` in-process on the same
-update order — the root-equality property ``benchmarks/bench_serve.py``
-asserts on every run.
+update order — the root-equality property
+``tests/test_serve_server.py::test_served_equals_in_process_*`` hold.
 
 Backpressure is by update count, not request count: ``queue_limit``
 bounds the number of admitted-but-unfinished updates, and

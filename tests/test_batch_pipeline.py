@@ -194,6 +194,47 @@ def test_submit_many_engines_match_sequential(engine):
     assert seq_fw.ledger.digest().size == bat_fw.ledger.digest().size
 
 
+EXACT_ENGINES = ["plaintext", "paillier", "zkp", "enclave"]
+
+
+@pytest.mark.parametrize("engine", EXACT_ENGINES)
+def test_engine_totals_count_only_applied_updates(engine):
+    """An update the database refuses (duplicate key) leaves no trace in
+    a private engine's running total: every engine decides the stream
+    like the plaintext reference, which re-reads the table."""
+    db = make_db("mgr")
+    regulation = upper_bound_regulation("cap", "events", "amount", 10, ["who"])
+    framework = single_private_database(db, [regulation], engine=engine)
+    results = framework.submit_many([
+        make_update(i, amount=4, update_id=f"d-{n}")
+        for n, i in enumerate([1, 1, 1, 2])
+    ])
+    # Ids 1 and 2 apply (4 + 4 <= 10); the duplicates fail at apply and
+    # must not count towards the cap that decides id 2.
+    assert [(r.applied, r.outcome.failed_constraint) for r in results] == [
+        (True, None), (False, "apply-failure"), (False, "apply-failure"),
+        (True, None),
+    ]
+
+
+@pytest.mark.parametrize("engine", EXACT_ENGINES)
+def test_engine_totals_ignore_updates_a_later_constraint_rejects(engine):
+    """Two routed constraints: the per-``who`` cap accepts an update the
+    table-wide cap then rejects; the first cap's total must not keep it."""
+    db = make_db("mgr")
+    per_who = upper_bound_regulation("per-who", "events", "amount", 9, ["who"])
+    overall = upper_bound_regulation("overall", "events", "amount", 10, [])
+    framework = single_private_database(db, [per_who, overall], engine=engine)
+    results = framework.submit_many([
+        make_update(0, who="a", amount=8, update_id="t-0"),
+        # per-who: b = 8 <= 9 accepts; overall: 16 > 10 rejects.
+        make_update(1, who="b", amount=8, update_id="t-1"),
+        # per-who: b = 2 (not 10) accepts; overall: 10 <= 10 accepts.
+        make_update(2, who="b", amount=2, update_id="t-2"),
+    ])
+    assert [r.applied for r in results] == [True, False, True]
+
+
 def test_plaintext_engine_batch_uses_shared_databases_correctly():
     """PlaintextVerifier's batch cache tracks rows the framework
     applies to the shared database objects."""

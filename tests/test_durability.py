@@ -8,6 +8,7 @@ cannot prove harmless (mid-log corruption, sequence holes) makes
 recovery refuse rather than silently skip history.
 """
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -443,16 +444,42 @@ def test_recovery_equivalence(tmp_path, engine):
     recovered.close()
 
 
+def test_recovered_engine_decides_like_the_process_that_crashed(tmp_path):
+    """Apply failures count in neither: the live Paillier engine's
+    running total and the one ``replay_applied`` rebuilds agree on the
+    next decision."""
+    durability = Durability.wal(durable_dir(tmp_path))
+    live, _ = build(engine="paillier", durability=durability, bound=10)
+    duplicates = [dataclasses.replace(make_update(1, co2=4),
+                                      update_id=f"dup-{n}") for n in range(3)]
+    results = live.submit_many(duplicates)
+    assert [r.applied for r in results] == [True, False, False]
+    live.close()
+
+    recovered, _ = build(engine="paillier", durability=durability, bound=10)
+    assert recovered.recover().verified_against_anchor
+    # 4 applied + 4 <= 10: both accept (8 + 4 would not have).
+    assert live.engine.verify(make_update(2, co2=4), 0.0).accepted
+    assert recovered.submit(make_update(2, co2=4)).applied
+    recovered.close()
+
+
 def test_durability_off_is_byte_identical(tmp_path):
     """Anchored payloads never depend on the durability mode: ledger
     roots with durability off equal roots with it on."""
     off, _ = build()
-    on, _ = build(durability=Durability.wal_with_snapshots(
-        durable_dir(tmp_path), snapshot_every=3))
     off.submit_many([make_update(i) for i in range(5)])
-    on.submit_many([make_update(i) for i in range(5)])
-    assert off.ledger.digest().root == on.ledger.digest().root
-    on.close()
+    modes = {
+        "wal": Durability.wal,
+        "wal-fsync-each": lambda d: Durability.wal(d, fsync_every=1),
+        "wal+snapshot": lambda d: Durability.wal_with_snapshots(
+            d, snapshot_every=3),
+    }
+    for label, policy in modes.items():
+        on, _ = build(durability=policy(str(tmp_path / label)))
+        on.submit_many([make_update(i) for i in range(5)])
+        assert off.ledger.digest().root == on.ledger.digest().root, label
+        on.close()
 
 
 # -- crash-point matrix -------------------------------------------------------

@@ -102,6 +102,11 @@ CORPUS = [
      "update_id": "upd-0000007", "table": "emissions",
      "operation": "insert", "producers": ["alice", "bob"],
      "managers": [], "visibility": "private", "key": None},
+    {"update_id": "upd-0000007", "table": "emissions", "status": "applied",
+     "decision": {"accepted": True, "engine": "plaintext",
+                  "constraint_ids": ["cst-emissions-cap"],
+                  "failed_constraint": None},
+     "timestamp": 7.0},               # the anchored decision-record shape
     {"mixed": [True, False, None, 0, 1.25, "s", b"\x01", {"k": []}]},
     {"tagged": b"\xde\xad\xbe\xef"},
     _Color.RED,                     # int subclass → fallback path

@@ -14,6 +14,7 @@ otherwise-valid batch, empty batches, batches of one, non-coprime
 Paillier ciphertexts, and the per-stage ``throughput_report`` rates.
 """
 
+import math
 import os
 import pickle
 
@@ -55,6 +56,7 @@ from repro.parallel import (
     resolve_executor,
     split_chunks,
 )
+from repro.parallel.executors import TARGET_CHUNK_SECONDS
 
 
 def _double(chunk):
@@ -97,6 +99,39 @@ def test_parallel_executor_inlines_small_batches():
     executor = ParallelExecutor(workers=2, min_items=8)
     pids = executor.map_chunks(_pids, list(range(4)))
     assert pids == [os.getpid()] * 4  # below min_items: no pool traffic
+
+
+def test_chunk_planner_sizes_fan_out_from_measured_cost():
+    """Clock-free: the per-label cost table is fed through ``_observe``
+    with hand-picked elapsed times."""
+    executor = ParallelExecutor(workers=4)
+    # Unmeasured label: full fan-out (expensive until proven cheap).
+    assert executor._plan_chunks("fresh", 64) == 4
+    # Cheap: 64 items at 1 us each is far below one target chunk.
+    executor._observe("cheap", n_items=64, elapsed=64e-6, n_chunks=1)
+    assert executor._plan_chunks("cheap", 64) == 1
+    # Expensive: a pooled batch reports wall time, so 2.5 ms over 4
+    # chunks of 100 items is 100 us per item serial-equivalent.
+    executor._observe("dear", n_items=100, elapsed=0.0025, n_chunks=4)
+    assert executor._cost_ewma["dear"] == pytest.approx(100e-6)
+    predicted = 100e-6 * 120
+    assert executor._plan_chunks("dear", 120) == \
+        math.ceil(predicted / TARGET_CHUNK_SECONDS) == 3
+    assert executor._plan_chunks("dear", 10_000) == 4  # capped at workers
+    # Later samples fold in as an EWMA; empty or unclocked batches don't.
+    executor._observe("dear", n_items=100, elapsed=0.005, n_chunks=4)
+    assert executor._cost_ewma["dear"] == pytest.approx(
+        0.3 * 200e-6 + 0.7 * 100e-6)
+    executor._observe("dear", n_items=0, elapsed=1.0, n_chunks=1)
+    executor._observe("dear", n_items=10, elapsed=0.0, n_chunks=1)
+    assert executor._cost_ewma["dear"] == pytest.approx(130e-6)
+
+
+def test_measured_cheap_label_stops_paying_pool_round_trips():
+    executor = small_parallel()
+    executor._observe("unit.pids", n_items=10, elapsed=10e-6, n_chunks=1)
+    pids = executor.map_chunks(_pids, list(range(10)), label="unit.pids")
+    assert pids == [os.getpid()] * 10
 
 
 def test_parallel_executor_rejects_bad_worker_count():

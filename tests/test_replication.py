@@ -298,7 +298,13 @@ def test_builder_type_error_propagates_without_a_second_call():
 
 # -- the sharded consensus knob ----------------------------------------------
 
-@pytest.mark.parametrize("kind", ["paxos", "pbft", "sharper"])
+@pytest.mark.parametrize("kind", [
+    "paxos", "pbft", "sharper",
+    pytest.param(ReplicationPlan(kind="paxos", replicas=2, profile="wan"),
+                 id="paxos-wan"),
+    pytest.param(ReplicationPlan(kind="pbft", replicas=2, profile="wan"),
+                 id="pbft-wan"),
+])
 def test_sharded_consensus_matches_plain_deployment(kind):
     plain = ShardedPReVer(two_shard_specs())
     stream = sharded_stream()
@@ -314,7 +320,8 @@ def test_sharded_consensus_matches_plain_deployment(kind):
     ]
     report = backed.consensus_report()
     assert set(report) == {"s0", "s1", "coordinator"}
-    assert all(stats["driver"] == kind for stats in report.values())
+    assert all(stats["driver"] == resolve_plan(kind).kind
+               for stats in report.values())
     backed.close()
 
 

@@ -19,6 +19,7 @@ from repro.core.framework import PReVer
 from repro.core.sharded import ShardedPReVer, ShardSpec
 from repro.database.engine import Database
 from repro.database.schema import ColumnType, TableSchema
+from repro.durability import Durability
 from repro.model.constraints import (
     Constraint,
     ConstraintKind,
@@ -53,7 +54,7 @@ def make_db(name="manager"):
     return database
 
 
-def build_framework(engine="plaintext"):
+def build_framework(engine="plaintext", durability=None):
     from repro.core.contexts import single_private_database
 
     template = upper_bound_regulation("cap", "emissions", "co2", bound=100,
@@ -62,7 +63,8 @@ def build_framework(engine="plaintext"):
     # identifiers or the root-equality asserts would compare apples to
     # freshly-numbered oranges.
     cap = dataclasses.replace(template, constraint_id="cst-serve-cap")
-    return single_private_database(make_db(), [cap], engine=engine)
+    return single_private_database(make_db(), [cap], engine=engine,
+                                   durability=durability)
 
 
 def make_updates(producer, ids, co2=20, org=None):
@@ -96,9 +98,16 @@ def replay_in_process(served_results, updates_by_id, engine="plaintext"):
 # -- transport transparency --------------------------------------------------
 
 
-def test_served_equals_in_process_plaintext_concurrent_clients():
+def test_served_equals_in_process_plaintext_concurrent_clients(tmp_path):
+    for durability in (None, Durability.serving(str(tmp_path))):
+        _check_served_equals_in_process(durability)
+
+
+def _check_served_equals_in_process(durability):
+    """Durability off, then the serving WAL preset: the group-commit
+    path must not change a served decision or the anchored root."""
     async def scenario():
-        framework = build_framework()
+        framework = build_framework(durability=durability)
         updates_by_id = {}
         async with serving(framework, batch_window=0.02,
                            producers={"alice": ALICE.public_key,
@@ -133,6 +142,7 @@ def test_served_equals_in_process_plaintext_concurrent_clients():
         assert (served_result.failed_constraint
                 == replay_result.outcome.failed_constraint)
     assert framework.ledger.digest().root == replay.ledger.digest().root
+    framework.close()
 
 
 def test_served_equals_in_process_paillier():
