@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sharded front-end demo: partition, dispatch, escalate, recover.
+"""Sharded front-end demo: partition, route, escalate, recover.
 
 Builds a :class:`~repro.core.sharded.ShardedPReVer` that partitions an
 orders table and a payments table across two shards, each a full
@@ -15,8 +15,7 @@ PReVer instance with its own ledger and write-ahead log.  It then:
    re-verifies each shard root against its last durable anchor, and
    reproduces the identical root-of-roots.
 
-Run:  PYTHONPATH=src python examples/sharded_pipeline.py
-          [--dispatch {serial,process}] [--dir STATE_DIR]
+Run:  PYTHONPATH=src python examples/sharded_pipeline.py [--dir STATE_DIR]
 """
 
 import argparse
@@ -46,11 +45,7 @@ SHARD_TABLES = {"orders-shard": "orders", "payments-shard": "payments"}
 
 
 def build_shard(name, table, state_dir):
-    """Builder for one shard: its own database, cap regulation, and WAL.
-
-    Under ``--dispatch process`` this runs inside the shard's dedicated
-    worker process, which is why it is a plain module-level function.
-    """
+    """Builder for one shard: its own database, cap regulation, and WAL."""
     database = Database(name)
     database.create_table(TableSchema.build(
         table,
@@ -74,13 +69,13 @@ def build_shard(name, table, state_dir):
     return framework
 
 
-def build_front_end(state_dir, dispatch):
+def build_front_end(state_dir):
     specs = [
         ShardSpec(name, (table,),
                   functools.partial(build_shard, name, table, state_dir))
         for name, table in sorted(SHARD_TABLES.items())
     ]
-    return ShardedPReVer(specs, dispatch=dispatch)
+    return ShardedPReVer(specs)
 
 
 def mixed_batch(first_id, n):
@@ -95,20 +90,16 @@ def mixed_batch(first_id, n):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="sharded front-end demo")
-    parser.add_argument("--dispatch", choices=["serial", "process"],
-                        default="serial",
-                        help="run shards in-process, or one worker "
-                             "process per shard (default: serial)")
     parser.add_argument("--dir", default="",
                         help="state directory (default: a fresh temp dir)")
     args = parser.parse_args(argv)
     state_dir = args.dir or tempfile.mkdtemp(prefix="sharded-pipeline-")
 
     # -- 1. partition and route ---------------------------------------------
-    front = build_front_end(state_dir, args.dispatch)
+    front = build_front_end(state_dir)
     results = front.submit_many(mixed_batch(0, 8))
     digest = front.digest()
-    print(f"== two shards, {args.dispatch} dispatch ==")
+    print("== two shards ==")
     for result in results[:4]:
         print(f"  {result.update.update_id} -> shard {result.shard!r} "
               f"(applied={result.applied})")
@@ -144,7 +135,7 @@ def main(argv=None):
     front.close()
 
     # -- 3. restart: per-shard recovery, same root-of-roots -----------------
-    recovered = build_front_end(state_dir, args.dispatch)
+    recovered = build_front_end(state_dir)
     reports = recovered.recover()
     print("\n== recovery (per shard) ==")
     for name, report in sorted(reports.items()):

@@ -101,16 +101,3 @@ class UpdateResult:
                 for name, seconds in zip(TIMED_STAGES, self.timings)
                 if seconds is not None}
 
-
-class Immediate:
-    """Future-alike wrapping already computed results, so inline and
-    process shard dispatch share one scatter/gather code path."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        """The wrapped value."""
-        return self._value

@@ -1,8 +1,17 @@
-"""Consensus-backed shard: N replica frameworks over one decided stream.
+"""The shard handle, and the consensus-backed shard built on it.
 
-A :class:`ReplicatedShard` is the state-machine-replication view of
-one PReVer shard.  A :class:`~repro.consensus.driver.ReplicationDriver`
-orders proposed update batches; every *live* replica — a full
+A :class:`ShardHandle` is what
+:class:`~repro.core.sharded.ShardedPReVer` drives per shard: one
+in-process framework behind the shard surface (submit, submit_many,
+digest, recover, reports, telemetry, probes, counters, close), written
+once against ``self.framework``.  It lives here, not in
+``core.sharded``, so this module never imports
+``core.sharded → federated → privacy``.
+
+A :class:`ReplicatedShard` is that handle plus ordering — the
+state-machine-replication view of one PReVer shard.  A
+:class:`~repro.consensus.driver.ReplicationDriver` orders proposed
+update batches; every *live* replica — a full
 :class:`~repro.core.framework.PReVer` with its own ledger, durability
 policy, and WAL directory — deterministically replays each decided
 batch, and the shard asserts per-batch root equality across replicas
@@ -21,10 +30,10 @@ against the committed prefix and re-asserts root convergence.  A
 non-durable replica recovers from the committed prefix alone — the
 decided stream *is* the authoritative history.
 
-The shard exposes the same handle surface as the sharded front-end's
-serial/process handles (submit, submit_many_async, digest, recover,
-telemetry, ...), so :class:`~repro.core.sharded.ShardedPReVer` can
-drop it in per shard via its ``consensus=`` plan knobs.
+``ReplicatedShard.framework`` is the primary replica, so the handle
+surface reads from there and the shard overrides only what ordering
+changes; :class:`~repro.core.sharded.ShardedPReVer` drops one in per
+shard via its ``consensus=`` plan knobs.
 """
 
 import inspect
@@ -34,12 +43,106 @@ from repro.common.errors import IntegrityError, PReVerError, ProtocolError
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.driver import LocalDriver, ReplicationDriver
 from repro.core.framework import PReVer
-from repro.core.outcome import Immediate, UpdateResult
+from repro.core.outcome import UpdateResult
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER
 
 
-class ReplicatedShard:
+class ShardHandle:
+    """One shard of the sharded front-end: an in-process framework
+    behind the shard surface.  Everything reads through
+    ``self.framework``, so a subclass that changes which framework
+    that is (see :class:`ReplicatedShard`) inherits the surface."""
+
+    # Class-level defaults: ReplicatedShard's ``framework`` is a
+    # property, so it never runs this ``__init__``.
+    _tracker = None
+    _closed = False
+
+    def __init__(self, framework: PReVer):
+        self.framework = framework
+
+    def submit(self, update: Update) -> UpdateResult:
+        """Route one update through the shard's pipeline."""
+        return self.framework.submit(update)
+
+    def submit_many(self, updates: Sequence[Update]) -> List[UpdateResult]:
+        """Run one batch through the shard's pipeline."""
+        return self.framework.submit_many(updates)
+
+    def digest(self):
+        """The shard ledger's digest."""
+        return self.framework.ledger.digest()
+
+    def recover(self):
+        """Run crash recovery on the framework (a replicated shard's
+        primary replica) and return its report.  Recovery needs a
+        durable, freshly built framework: a non-durable one raises
+        :class:`~repro.common.errors.DurabilityError`."""
+        return self.framework.recover()
+
+    def throughput_report(self) -> dict:
+        """The shard's per-stage throughput report."""
+        return self.framework.throughput_report()
+
+    def metrics_snapshot(self) -> dict:
+        """The shard's metrics snapshot."""
+        return self.framework.metrics.snapshot()
+
+    def telemetry_delta(self):
+        """Incremental telemetry delta, for cross-shard aggregation.
+
+        The first capture ships the framework's full history.  When
+        the framework read from changes (a replicated shard's primary
+        crashed), the next tracker baselines at the new framework's
+        current values: its replicas counted the same decided stream,
+        so only increments ship and nothing is merged twice.
+        """
+        framework = self.framework
+        tracker = self._tracker
+        if tracker is None or tracker.registry is not framework.metrics:
+            from repro.obs.aggregate import DeltaTracker
+
+            tracker = self._tracker = DeltaTracker(
+                framework.metrics, tracer=framework.tracer,
+                origin=tracker is None,
+            )
+        return tracker.capture()
+
+    def alive(self) -> bool:
+        """Liveness: not closed, and the framework's own checks pass."""
+        return not self._closed and self.framework.health_report()["ok"]
+
+    def readiness_report(self) -> dict:
+        """The shard framework's readiness report."""
+        return self.framework.readiness_report()
+
+    def verification_trail(self, trace_id: str):
+        """The shard's trail for ``trace_id`` (None when absent)."""
+        return self.framework.verification_trail(trace_id)
+
+    def counters(self) -> dict:
+        """Submitted/applied/ledger-size counters."""
+        framework = self.framework
+        return {
+            "submitted": framework._submitted_count,
+            "applied": framework._applied_count,
+            "ledger_size": len(framework.ledger),
+        }
+
+    def stats(self) -> dict:
+        """Ordering stats; empty for a shard with no driver."""
+        return {}
+
+    def close(self) -> None:
+        """Flush the shard's WAL; idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        self.framework.close()
+
+
+class ReplicatedShard(ShardHandle):
     """One shard's pipeline replicated across N frameworks.
 
     ``build`` is a zero-argument builder returning a fresh
@@ -83,7 +186,6 @@ class ReplicatedShard:
         self._batch_sizes: List[int] = []
         self._tmr_replay = self.metrics.timer("consensus.replay")
         self._ctr_batches = self.metrics.counter("consensus.replayed_batches")
-        self._closed = False
 
     def _build_replica(self, index: int) -> PReVer:
         if self._build_takes_index:
@@ -100,6 +202,9 @@ class ReplicatedShard:
             if replica is not None:
                 return replica
         raise IntegrityError(f"shard {self.name!r} has no live replicas")
+
+    #: The handle surface reads through the primary replica.
+    framework = primary
 
     @property
     def primary_index(self) -> int:
@@ -134,10 +239,6 @@ class ReplicatedShard:
             )
         return results
 
-    def submit_many_async(self, updates: Sequence[Update]):
-        """Inline execution behind the async-dispatch interface."""
-        return Immediate(self.submit_many(updates))
-
     def _apply_decided(self, decided) -> List[UpdateResult]:
         """Replay one decided batch into every live replica, asserting
         the stream is gap-free and the replicas stay root-equal."""
@@ -159,17 +260,22 @@ class ReplicatedShard:
                     f"{self._applied[index]}, cannot replay "
                     f"{decided.sequence} (catch_up required)"
                 )
-            # Fresh update objects per replica: the pipeline mutates
-            # update state, so replicas never share them.
-            batch = self.driver.decode_batch(decided.payload)
-            out = replica.submit_many(batch)
-            self._applied[index] = decided.sequence + 1
+            out = self._replay(index, decided)
             roots[index] = replica.ledger.digest().root
             if results is None:
                 results = out
         self._tmr_replay.record(self.metrics._clock.now() - start)
         self._ctr_batches.add()
         self._check_roots(roots, at=decided.sequence)
+        return results
+
+    def _replay(self, index: int, decided) -> List[UpdateResult]:
+        """Run one decided batch through live replica ``index`` and
+        advance its offset.  Fresh update objects per replica: the
+        pipeline mutates update state, so replicas never share them."""
+        batch = self.driver.decode_batch(decided.payload)
+        results = self.replicas[index].submit_many(batch)
+        self._applied[index] = decided.sequence + 1
         return results
 
     def _check_roots(self, roots: dict, at: int) -> None:
@@ -249,8 +355,7 @@ class ReplicatedShard:
     def catch_up(self, index: int) -> int:
         """Replay the committed prefix beyond what replica ``index``
         has applied; returns the number of batches replayed."""
-        replica = self.replicas[index]
-        if replica is None:
+        if self.replicas[index] is None:
             raise PReVerError(f"replica {index} is not live")
         replayed = 0
         for decided in self.driver.catch_up(self._applied[index]):
@@ -261,60 +366,36 @@ class ReplicatedShard:
                     f"shard {self.name!r}: committed prefix has a gap at "
                     f"{self._applied[index]}"
                 )
-            batch = self.driver.decode_batch(decided.payload)
-            replica.submit_many(batch)
-            self._applied[index] = decided.sequence + 1
+            self._replay(index, decided)
             replayed += 1
         self.assert_converged()
         return replayed
 
-    # -- the shard-handle surface (see repro.core.sharded) -----------------
+    # -- what ordering changes on the handle surface -----------------------
 
     def digest(self):
         """The shard ledger's digest — from the primary replica, after
         asserting every live replica agrees on the root."""
         self.assert_converged()
-        return self.primary.ledger.digest()
-
-    def recover(self):
-        """Front-end recovery: re-run recovery on the primary replica
-        (non-durable primaries report through recovery's no-op path)."""
-        return self.primary.recover()
-
-    def throughput_report(self) -> dict:
-        """The primary replica's per-stage throughput report."""
-        return self.primary.throughput_report()
+        return super().digest()
 
     def metrics_snapshot(self) -> dict:
         """Primary replica metrics, plus this shard's ``consensus.*``
         ordering metrics under ``"replication"``."""
-        snapshot = self.primary.metrics.snapshot()
+        snapshot = super().metrics_snapshot()
         snapshot["replication"] = self.metrics.snapshot()
         return snapshot
-
-    def telemetry_delta(self):
-        """Incremental telemetry from the primary replica (full
-        history on first call), for cross-shard aggregation."""
-        from repro.obs.aggregate import DeltaTracker
-
-        primary = self.primary
-        tracker = getattr(primary, "_replicated_tracker", None)
-        if tracker is None:
-            tracker = DeltaTracker(primary.metrics, tracer=primary.tracer,
-                                   origin=True)
-            primary._replicated_tracker = tracker
-        return tracker.capture()
 
     def alive(self) -> bool:
         """Liveness: at least one replica is live and healthy."""
         try:
-            return self.primary.health_report()["ok"]
+            return super().alive()
         except IntegrityError:
             return False
 
     def readiness_report(self) -> dict:
         """Primary readiness plus replica-convergence checks."""
-        report = self.primary.readiness_report()
+        report = super().readiness_report()
         live = sum(1 for r in self.replicas if r is not None)
         try:
             self.assert_converged()
@@ -325,19 +406,6 @@ class ReplicatedShard:
         report["checks"]["replicas_converged"] = check
         report["ok"] = report["ok"] and check["ok"]
         return report
-
-    def verification_trail(self, trace_id: str):
-        """The primary replica's trail for ``trace_id``."""
-        return self.primary.verification_trail(trace_id)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters (primary replica)."""
-        primary = self.primary
-        return {
-            "submitted": primary._submitted_count,
-            "applied": primary._applied_count,
-            "ledger_size": len(primary.ledger),
-        }
 
     def stats(self) -> dict:
         """Driver ordering stats plus replica/batch bookkeeping."""

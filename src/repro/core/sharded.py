@@ -13,17 +13,14 @@ with its **own** ledger, durability policy, and executor:
   digests, and WAL bytes is identical to a standalone framework fed
   the same substream;
 * a batch is partitioned by home shard (order preserved within each
-  shard) and dispatched shard-parallel: in-process under
-  ``dispatch="serial"``, or across dedicated per-shard worker
-  processes (:class:`~repro.parallel.shards.ShardWorker`) under
-  ``dispatch="process"`` — real multicore scaling, since each shard
-  runs in its own interpreter;
+  shard) and each part runs through its shard's one in-process
+  :class:`~repro.core.replicated.ShardHandle`, in shard order;
 * constraints whose scope spans shards cannot be checked by any one
   shard.  They must be registered coordinator-side with an RC2
-  federated verifier (:class:`~repro.core.federated.TokenVerifier`,
-  or :class:`~repro.core.federated.MPCVerifier` when the shard
-  databases are reachable in-process) — **fail-closed**: registering
-  without one, or registering a single-shard constraint here, raises.
+  federated verifier (:class:`~repro.core.federated.TokenVerifier`
+  or :class:`~repro.core.federated.MPCVerifier`) — **fail-closed**:
+  registering without one, or registering a single-shard constraint
+  here, raises.
   Escalation rejections are anchored on the coordinator's own ledger,
   so shard ledgers stay clean substream-equivalents;
 * each shard can be **consensus-backed** via the ``consensus=`` plan
@@ -55,25 +52,21 @@ from repro.common.metrics import MetricsRegistry
 from repro.consensus.driver import make_driver, resolve_plan
 from repro.core.federated import MPCVerifier, TokenVerifier
 from repro.core.framework import PReVer
-from repro.core.outcome import Immediate, UpdateResult
+from repro.core.outcome import UpdateResult
+from repro.core.replicated import ReplicatedShard, ShardHandle
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.central import CentralLedger
 from repro.model.constraints import Constraint
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER, Tracer
-from repro.parallel.shards import ShardWorker
 
 
 @dataclass(frozen=True)
 class ShardSpec:
     """Recipe for one shard: a name, the tables it owns, and a
     zero-argument builder returning the shard's fully configured
-    :class:`~repro.core.framework.PReVer`.
-
-    Under ``dispatch="process"`` the builder runs inside the shard's
-    dedicated worker process, so it must be picklable — a module-level
-    function or a ``functools.partial`` over one — and must build
-    everything (databases, constraints, engine, durability) itself.
+    :class:`~repro.core.framework.PReVer` (databases, constraints,
+    engine, durability).
     """
 
     name: str
@@ -122,133 +115,6 @@ class ShardPlan:
         return tuple(sorted({self.shard_for(table) for table in tables}))
 
 
-class _SerialShard:
-    """In-process shard handle: the framework lives in this
-    interpreter (so :class:`MPCVerifier` escalation can reach its
-    databases), and "async" dispatch just runs inline."""
-
-    def __init__(self, spec: ShardSpec):
-        self.framework = spec.build()
-        self._tracker = None
-
-    def submit(self, update: Update) -> UpdateResult:
-        """Route one update through the shard's pipeline."""
-        return self.framework.submit(update)
-
-    def submit_many_async(self, updates: Sequence[Update]):
-        """Run the shard's batch inline; returns an immediate future."""
-        return Immediate(self.framework.submit_many(updates))
-
-    def digest(self):
-        """The shard ledger's digest."""
-        return self.framework.ledger.digest()
-
-    def recover(self):
-        """Run the shard's crash recovery."""
-        return self.framework.recover()
-
-    def throughput_report(self) -> dict:
-        """The shard's per-stage throughput report."""
-        return self.framework.throughput_report()
-
-    def metrics_snapshot(self) -> dict:
-        """The shard's metrics snapshot."""
-        return self.framework.metrics.snapshot()
-
-    def telemetry_delta(self):
-        """Incremental telemetry delta (full history on first call)."""
-        if self._tracker is None:
-            from repro.obs.aggregate import DeltaTracker
-
-            self._tracker = DeltaTracker(
-                self.framework.metrics, tracer=self.framework.tracer,
-                origin=True,
-            )
-        return self._tracker.capture()
-
-    def alive(self) -> bool:
-        """Liveness: delegates to the in-process framework's checks."""
-        return self.framework.health_report()["ok"]
-
-    def readiness_report(self) -> dict:
-        """The shard framework's readiness report."""
-        return self.framework.readiness_report()
-
-    def verification_trail(self, trace_id: str):
-        """The shard's trail for ``trace_id`` (None when absent)."""
-        return self.framework.verification_trail(trace_id)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters."""
-        return {
-            "submitted": self.framework._submitted_count,
-            "applied": self.framework._applied_count,
-            "ledger_size": len(self.framework.ledger),
-        }
-
-    def close(self) -> None:
-        """Flush the shard's WAL."""
-        self.framework.close()
-
-
-class _ProcessShard:
-    """Worker-process shard handle: every call crosses into the
-    shard's pinned child process via
-    :class:`~repro.parallel.shards.ShardWorker`."""
-
-    def __init__(self, spec: ShardSpec):
-        self.worker = ShardWorker(spec.name, spec.build)
-
-    def submit(self, update: Update) -> UpdateResult:
-        """Route one update through the shard's pipeline."""
-        return self.worker.call("submit", update)
-
-    def submit_many_async(self, updates: Sequence[Update]):
-        """Dispatch the shard's batch to its worker; returns the
-        future so other shards' batches run concurrently."""
-        return self.worker.call_async("submit_many", updates)
-
-    def digest(self):
-        """The shard ledger's digest."""
-        return self.worker.digest()
-
-    def recover(self):
-        """Run the shard's crash recovery inside its worker."""
-        return self.worker.call("recover")
-
-    def throughput_report(self) -> dict:
-        """The shard's per-stage throughput report."""
-        return self.worker.call("throughput_report")
-
-    def metrics_snapshot(self) -> dict:
-        """The shard's metrics snapshot."""
-        return self.worker.metrics_snapshot()
-
-    def telemetry_delta(self):
-        """Incremental telemetry delta from the shard's child process."""
-        return self.worker.telemetry_delta()
-
-    def alive(self) -> bool:
-        """Liveness: the pinned worker process can still take work."""
-        return self.worker.alive()
-
-    def readiness_report(self) -> dict:
-        """The shard framework's readiness report, from the child."""
-        return self.worker.call("readiness_report")
-
-    def verification_trail(self, trace_id: str):
-        """The shard's trail for ``trace_id`` (None when absent)."""
-        return self.worker.call("verification_trail", trace_id)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters."""
-        return self.worker.counters()
-
-    def close(self) -> None:
-        """Flush the shard's WAL and stop its worker."""
-        self.worker.shutdown()
-
-
 @dataclass(frozen=True)
 class ShardedDigest:
     """The combined commitment: a Merkle root over the per-shard
@@ -271,10 +137,8 @@ class ShardedDigest:
 class ShardedPReVer:
     """N independent ``PReVer`` shards behind one submit API.
 
-    ``dispatch="serial"`` builds every shard in this process (use for
-    tests, recovery drills, and MPC escalation); ``dispatch="process"``
-    pins each shard to a dedicated worker process for real multicore
-    batch throughput.  Decisions are dispatch-independent.
+    Every shard is built in this process and driven through one
+    :class:`~repro.core.replicated.ShardHandle`.
 
     ``consensus`` makes shards consensus-backed: a kind string
     (``"paxos"``/``"pbft"``/``"sharper"``/``"local"``) or a
@@ -284,28 +148,22 @@ class ShardedPReVer:
     maps shard names to per-shard plans, with an optional
     ``"coordinator"`` key for the escalation driver.  Consensus-backed
     shards are :class:`~repro.core.replicated.ReplicatedShard`
-    instances — their replica frameworks and simulated consensus
-    networks live in this process, so ``consensus`` requires
-    ``dispatch="serial"`` (fail-closed otherwise).  Sharper plans
-    share one simulated network and ledger: one consensus shard per
-    pipeline shard, so disjoint shards order in parallel.
+    handles.  Sharper plans share one simulated network and ledger:
+    one consensus shard per pipeline shard, so disjoint shards order
+    in parallel.
     """
 
     def __init__(
         self,
         specs: Sequence[ShardSpec],
-        dispatch: str = "serial",
         clock: Optional[SimClock] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         escalation_ledger: Optional[CentralLedger] = None,
         consensus=None,
     ):
-        if dispatch not in ("serial", "process"):
-            raise PReVerError(f"unknown dispatch mode {dispatch!r}")
         self.plan = ShardPlan(specs)
         self.specs = self.plan.specs
-        self.dispatch = dispatch
         self.clock = clock or SimClock()
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or NOOP_TRACER
@@ -326,20 +184,11 @@ class ShardedPReVer:
             if plan is not None
         }
         self.coordinator_plan = coordinator_plan
-        if dispatch == "process" and (
-            coordinator_plan is not None or self.consensus_plans
-        ):
-            raise PReVerError(
-                "consensus-backed shards replay into replica frameworks "
-                "and simulated consensus networks in the coordinator "
-                'process; use dispatch="serial"'
-            )
         sharper_ledger = self._build_sharper_ledger(
             shard_plans, coordinator_plan
         )
-        handle_cls = _SerialShard if dispatch == "serial" else _ProcessShard
-        self.shards = [
-            self._build_shard(spec, plan, handle_cls, sharper_ledger)
+        self.shards: List[ShardHandle] = [
+            self._build_shard(spec, plan, sharper_ledger)
             for spec, plan in zip(self.specs, shard_plans)
         ]
         #: The coordinator's own ordering driver: cross-shard
@@ -410,15 +259,13 @@ class ShardedPReVer:
         )
         return ShardedLedger(names, f=first.f, network=network)
 
-    def _build_shard(self, spec: ShardSpec, plan, handle_cls,
-                     sharper_ledger):
-        """One shard handle: plain serial/process for the default path,
+    def _build_shard(self, spec: ShardSpec, plan,
+                     sharper_ledger) -> ShardHandle:
+        """One shard handle: a plain :class:`ShardHandle` by default,
         a :class:`ReplicatedShard` when a consensus plan asks for
         ordering or more than one replica."""
         if plan is None or (plan.kind == "local" and plan.replicas <= 1):
-            return handle_cls(spec)
-        from repro.core.replicated import ReplicatedShard
-
+            return ShardHandle(spec.build())
         driver = make_driver(
             plan, metrics=self.metrics, tracer=self.tracer,
             sharper_ledger=sharper_ledger, sharper_shard=spec.name,
@@ -438,9 +285,7 @@ class ShardedPReVer:
         that fits inside one shard must be registered *on* that shard
         (its pipeline checks it with full local state); a spanning
         constraint without an RC2 federated verifier is refused rather
-        than checked partially; an :class:`MPCVerifier` is refused
-        under process dispatch, where the shard databases it aggregates
-        over are not reachable from the coordinator.
+        than checked partially.
         """
         covering = self.plan.shards_for(constraint.tables)
         if len(covering) <= 1:
@@ -455,14 +300,7 @@ class ShardedPReVer:
                 "federated verifier (TokenVerifier or MPCVerifier) — "
                 "no single shard can see enough state to check it"
             )
-        if isinstance(verifier, MPCVerifier):
-            if self.dispatch != "serial":
-                raise PReVerError(
-                    "MPCVerifier escalation aggregates over the shard "
-                    "databases and needs them in-process; use "
-                    'dispatch="serial" or a TokenVerifier'
-                )
-        elif not isinstance(verifier, TokenVerifier):
+        if not isinstance(verifier, (TokenVerifier, MPCVerifier)):
             raise PReVerError(
                 f"unsupported cross-shard verifier {type(verifier).__name__}; "
                 "use TokenVerifier or MPCVerifier"
@@ -550,7 +388,8 @@ class ShardedPReVer:
         return result
 
     def submit_many(self, updates: Sequence[Update]) -> List[UpdateResult]:
-        """Partition a batch by home shard and dispatch shard-parallel.
+        """Partition a batch by home shard and run each part through
+        its shard, in shard order.
 
         Order is preserved within each shard (so per-shard decisions
         match a standalone framework fed that substream) and the
@@ -575,24 +414,16 @@ class ShardedPReVer:
             else:
                 per_shard.setdefault(home, []).append(position)
         with self.metrics.timed("sharded.dispatch"):
-            scattered = []
             for home in sorted(per_shard):
                 positions = per_shard[home]
                 batch = [updates[p] for p in positions]
+                name = self.specs[home].name
                 if self.tracer.enabled:
                     self.tracer.event(
-                        "shard.dispatch",
-                        shard=self.specs[home].name,
-                        items=len(batch),
-                        dispatch=self.dispatch,
+                        "shard.dispatch", shard=name, items=len(batch),
                     )
-                scattered.append(
-                    (home, positions,
-                     self.shards[home].submit_many_async(batch))
-                )
-            for home, positions, future in scattered:
-                name = self.specs[home].name
-                for position, result in zip(positions, future.result()):
+                shard_results = self.shards[home].submit_many(batch)
+                for position, result in zip(positions, shard_results):
                     result.shard = name
                     results[position] = result
         return results
@@ -622,7 +453,10 @@ class ShardedPReVer:
         """Recover every shard from its own WAL/snapshots and
         re-verify each recovered root (fail-closed: any shard whose
         replayed root does not match its last durable anchor aborts
-        the whole front-end).  Returns per-shard
+        the whole front-end).  Every shard must be durable and
+        freshly built: a non-durable shard raises
+        :class:`~repro.common.errors.DurabilityError` (a replicated
+        shard recovers its primary replica).  Returns per-shard
         :class:`~repro.durability.recovery.RecoveryReport`s."""
         reports = {}
         for spec, shard in zip(self.specs, self.shards):
@@ -638,17 +472,16 @@ class ShardedPReVer:
     def throughput_report(self) -> dict:
         """Per-shard throughput reports plus a combined summary.
 
-        Combined ``updates_per_sec`` sums the per-shard rates: shards
-        run concurrently under process dispatch, so rates add (under
-        serial dispatch this is an upper bound; the per-shard reports
-        carry the honest per-instance numbers).
+        Combined ``updates_per_sec`` sums the per-shard rates.  Shards
+        run one after another in this process, so the sum is an upper
+        bound; the per-shard reports carry the honest per-instance
+        numbers.
         """
         shards = {
             spec.name: shard.throughput_report()
             for spec, shard in zip(self.specs, self.shards)
         }
         return {
-            "dispatch": self.dispatch,
             "shards": shards,
             "combined": {
                 "updates": sum(r["updates"] for r in shards.values()),
@@ -691,9 +524,9 @@ class ShardedPReVer:
         Consensus-free shards are omitted."""
         report = {}
         for spec, shard in zip(self.specs, self.shards):
-            stats = getattr(shard, "stats", None)
-            if stats is not None:
-                report[spec.name] = stats()
+            stats = shard.stats()
+            if stats:
+                report[spec.name] = stats
         if self.replication is not None:
             report["coordinator"] = self.replication.stats()
         return report
@@ -710,8 +543,7 @@ class ShardedPReVer:
         }
         for spec, shard in zip(self.specs, self.shards):
             try:
-                ok = shard.alive()
-                detail = {"ok": ok, "dispatch": self.dispatch}
+                detail = {"ok": shard.alive()}
             except Exception as exc:
                 detail = {"ok": False, "error": repr(exc)}
             checks[f"shard.{spec.name}"] = detail
@@ -766,7 +598,7 @@ class ShardedPReVer:
         Same contract as :meth:`repro.core.framework.PReVer.serve`:
         returns a started :class:`~repro.serve.server.ServerThread`
         whose batches route across the shards exactly as in-process
-        ``submit_many`` batches do (decisions are dispatch-independent).
+        ``submit_many`` batches do.
         """
         from repro.serve.server import ServerThread
 
@@ -775,8 +607,7 @@ class ShardedPReVer:
         return thread
 
     def close(self) -> None:
-        """Flush every shard's WAL (and stop worker processes under
-        process dispatch); idempotent."""
+        """Flush every shard's WAL; idempotent."""
         if self._closed:
             return
         self._closed = True

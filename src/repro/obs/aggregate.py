@@ -1,10 +1,11 @@
-"""Cross-process telemetry aggregation.
+"""Cross-registry telemetry aggregation.
 
-:class:`~repro.parallel.executors.ParallelExecutor` workers and
-:class:`~repro.parallel.shards.ShardWorker` children used to be
-telemetry black holes: whatever they counted or timed died with the
-call, and the coordinator's registry only ever saw coordinator-side
-work.  This module closes the gap with three picklable pieces:
+:class:`~repro.parallel.executors.ParallelExecutor` workers count and
+time in their own process, and every shard of a
+:class:`~repro.core.sharded.ShardedPReVer` in its own framework's
+registry; the coordinator's registry would only ever see
+coordinator-side work.  This module closes the gap with three
+picklable pieces:
 
 * :class:`TelemetryDelta` — a serializable increment of one registry's
   counters / gauges / timers / histograms plus any finished span dicts,

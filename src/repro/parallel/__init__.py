@@ -37,7 +37,6 @@ if TYPE_CHECKING:
         resolve_executor,
         split_chunks,
     )
-    from repro.parallel.shards import ShardWorker
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.parallel.executors": (
@@ -45,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "executor_from_env", "make_executor", "resolve_executor",
         "split_chunks",
     ),
-    "repro.parallel.shards": ("ShardWorker",),
 })
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "SERIAL_EXECUTOR",
-    "ShardWorker",
     "executor_from_env",
     "make_executor",
     "resolve_executor",

@@ -227,8 +227,7 @@ def test_anchored_payload_does_not_alias_returned_results():
 
 
 def test_result_records_are_slotted_and_survive_pickling():
-    """Process shard dispatch ships ``UpdateResult``s between
-    interpreters; the slotted records must round-trip, and an
+    """The slotted records must round-trip through pickle, and an
     evidence-free outcome must still point at the one shared mapping."""
     import pickle
 

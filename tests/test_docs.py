@@ -1,9 +1,10 @@
 """The documents cannot drift from the tree.
 
 Two pins, in the spirit of the docs/PROTOCOL.md byte pins in
-``tests/test_serve_protocol.py``: every script, test or result file a
-document cites exists (and every ``tests/x.py::name`` in it), and the
-one end-to-end numbers table (EXPERIMENTS.md) is exactly the rendering
+``tests/test_serve_protocol.py``: every script, test, result file or
+``src/repro`` module a document cites exists (and every
+``tests/x.py::name`` / ``package/module.py::Name`` in it), and the one
+end-to-end numbers table (EXPERIMENTS.md) is exactly the rendering
 of the committed ``BENCH_e2e.json``.
 """
 
@@ -26,6 +27,14 @@ BARE_HOME = {"bench": "benchmarks", "test": "tests"}
 #: ``tests/x.py::name`` — a test, a family of tests by prefix
 #: (``test_served_equals_in_process_*``) or a module-level table.
 CITED_NAME = re.compile(r"\b(tests/[\w/]+\.py)::(\w+)")
+#: ``core/sharded.py`` / ``core/replicated.py::ShardHandle`` — a module
+#: of a ``src/repro`` package, and a function, class or method in it.
+SOURCE = ROOT / "src" / "repro"
+PACKAGES = "|".join(sorted(p.name for p in SOURCE.iterdir() if p.is_dir()))
+CITED_MODULE = re.compile(
+    rf"(?<![\w/.])(?:src/repro/)?((?:{PACKAGES})/\w+\.py)(?:::(\w+))?")
+#: Their audit rows name deleted ``src/repro`` files on purpose.
+AUDIT_LOGS = ("EXPERIMENTS.md", "DESIGN.md")
 
 
 def test_cited_scripts_tests_and_result_files_exist():
@@ -42,6 +51,14 @@ def test_cited_scripts_tests_and_result_files_exist():
                     if (ROOT / path).is_file() and not re.search(
                         rf"^(?:def |class )?{name}",
                         (ROOT / path).read_text(encoding="utf-8"), re.M)]
+        if document.name in AUDIT_LOGS:
+            continue
+        for path, name in sorted(set(CITED_MODULE.findall(text))):
+            module = SOURCE / path
+            if not module.is_file() or (name and not re.search(
+                    rf"^\s*(?:def|class)\s+{name}\b",
+                    module.read_text(encoding="utf-8"), re.M)):
+                missing.append(f"{document.name}: {path}::{name}")
     assert not missing, "documents cite what does not exist: " + \
         ", ".join(missing)
 

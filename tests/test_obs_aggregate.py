@@ -1,11 +1,11 @@
 """Cross-process telemetry aggregation.
 
-The acceptance bar: a sharded *process* run and a parallel-executor
-run must both surface worker-side counters/spans in the coordinator's
-merged ``/metrics`` — no more telemetry black holes in worker
-processes.  Plus the delta/merge unit semantics those paths rely on:
-incremental captures never double-count, merged timer samples keep
-percentiles exact, and merges land under stable per-worker labels.
+The acceptance bar: a sharded run and a parallel-executor run must
+both surface shard-side / worker-side counters and spans in the
+coordinator's merged ``/metrics`` — no telemetry black holes.  Plus
+the delta/merge unit semantics those paths rely on: incremental
+captures never double-count, merged timer samples keep percentiles
+exact, and merges land under stable per-worker labels.
 """
 
 import pytest
@@ -176,11 +176,11 @@ def test_framework_run_under_process_executor_surfaces_workers():
     assert "repro_pipeline_updates_total" in text
 
 
-# -- sharded process runs surface shard telemetry ---------------------------
+# -- sharded runs surface shard telemetry -----------------------------------
 
 
 def test_sharded_process_run_surfaces_shard_sections():
-    sharded = ShardedPReVer(two_shard_specs(), dispatch="process")
+    sharded = ShardedPReVer(two_shard_specs())
     try:
         sharded.submit_many(sharded_stream(12))
         registry = sharded.collect_telemetry()
@@ -211,7 +211,7 @@ def test_sharded_process_run_surfaces_shard_sections():
 
 
 def test_sharded_process_health_and_readiness():
-    sharded = ShardedPReVer(two_shard_specs(), dispatch="process")
+    sharded = ShardedPReVer(two_shard_specs())
     try:
         sharded.submit_many(sharded_stream(4))
         health = sharded.health_report()
@@ -225,15 +225,36 @@ def test_sharded_process_health_and_readiness():
     assert not sharded.health_report()["ok"]  # closed shards are dead
 
 
+def test_telemetry_survives_a_primary_crash_without_reshipping_history():
+    """The handle owns the delta tracker: when a replicated shard's
+    primary crashes, the next primary's counters are a baseline, not
+    news — it counted the same decided stream."""
+    sharded = ShardedPReVer(two_shard_specs(), consensus={"s0": "paxos"})
+    try:
+        sharded.submit_many(sharded_stream(12))
+        registry = sharded.collect_telemetry()
+        assert registry.counter_value("shard.s0.pipeline.updates") == 6
+        shard = sharded.shards[0]
+        shard.crash_replica(shard.primary_index)
+        sharded.collect_telemetry()
+        assert registry.counter_value("shard.s0.pipeline.updates") == 6
+        sharded.submit_many(sharded_stream(4, offset=100, who="carol"))
+        sharded.collect_telemetry()
+        assert registry.counter_value("shard.s0.pipeline.updates") == 8
+        assert registry.counter_value("shard.s1.pipeline.updates") == 8
+    finally:
+        sharded.close()
+
+
 def test_sharded_serial_telemetry_and_trail(tmp_path):
     from repro.obs.events import EventLog
 
     import functools
 
-    # Serial dispatch with a traced shard: the coordinator finds the
-    # trail on whichever shard anchored the update.
+    # A traced shard: the coordinator finds the trail on whichever
+    # shard anchored the update.
     specs = two_shard_specs()
-    sharded = ShardedPReVer(specs, dispatch="serial")
+    sharded = ShardedPReVer(specs)
     try:
         results = sharded.submit_many(sharded_stream(8))
         registry = sharded.collect_telemetry()

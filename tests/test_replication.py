@@ -3,6 +3,9 @@ convergence, crash/catch-up, and the sharded ``consensus=`` knob.
 
 The contract under test, layer by layer:
 
+* **One shard handle** — a plain ``ShardHandle``, a one-replica local
+  ``ReplicatedShard`` and a three-replica Paxos one answer the whole
+  shard surface identically on the same stream.
 * **LocalDriver is invisible** — ``ReplicatedShard(build, replicas=1,
   driver=LocalDriver())`` must reproduce the standalone framework
   byte-for-byte (same pinned golden roots and WAL hashes as
@@ -40,7 +43,7 @@ from repro.consensus.driver import (
     make_driver,
     resolve_plan,
 )
-from repro.core.replicated import ReplicatedShard
+from repro.core.replicated import ReplicatedShard, ShardHandle
 from repro.core.sharded import ShardedPReVer
 from repro.durability import Durability
 
@@ -91,6 +94,55 @@ def test_make_driver_builds_every_kind():
         assert isinstance(driver, cls)
         assert driver.name == kind
         driver.close()
+
+
+# -- the shard-handle contract ------------------------------------------------
+
+HANDLES = {
+    "plain": lambda: ShardHandle(build_plaintext()),
+    "local": lambda: ReplicatedShard(build_plaintext, replicas=1,
+                                     driver=LocalDriver()),
+    "paxos": lambda: ReplicatedShard(build_plaintext, replicas=3,
+                                     driver=PaxosDriver()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLES))
+def test_shard_handle_contract(kind):
+    """Every handle kind answers the shard surface like the standalone
+    framework it wraps: one batch, then single submits."""
+    standalone = build_plaintext()
+    stream = golden_stream()
+    expected = standalone.submit_many(stream[:8])
+    expected += [standalone.submit(update) for update in stream[8:]]
+
+    handle = HANDLES[kind]()
+    assert isinstance(handle, ShardHandle)
+    stream = golden_stream()
+    results = handle.submit_many(stream[:8])
+    results += [handle.submit(update) for update in stream[8:]]
+    assert [(r.accepted, r.applied, r.ledger_sequence) for r in results] == \
+        [(r.accepted, r.applied, r.ledger_sequence) for r in expected]
+    assert handle.digest() == standalone.ledger.digest()
+    assert handle.digest().root.hex() == GOLDEN[("plaintext", "batched")]["root"]
+    assert handle.counters() == {
+        "submitted": len(stream),
+        "applied": sum(r.applied for r in expected),
+        "ledger_size": len(standalone.ledger),
+    }
+    assert handle.framework.ledger.digest() == handle.digest()
+    assert handle.throughput_report()["updates"] == len(stream)
+    assert "counters" in handle.metrics_snapshot()
+    assert handle.alive()
+    assert handle.readiness_report()["ok"]
+    assert handle.verification_trail("tr-none") is None
+    first = handle.telemetry_delta()
+    assert first.counters["pipeline.updates"][1] == len(stream)
+    assert handle.telemetry_delta().empty()
+    assert bool(handle.stats()) == (kind != "plain")
+    handle.close()
+    handle.close()  # idempotent
+    assert not handle.alive()
 
 
 # -- LocalDriver: byte-identical to the pre-driver framework -----------------
@@ -348,12 +400,6 @@ def test_sharded_consensus_dict_plans_per_shard():
 def test_sharded_consensus_unknown_shard_name_is_refused():
     with pytest.raises(PReVerError, match="unknown shards"):
         ShardedPReVer(two_shard_specs(), consensus={"nope": "paxos"})
-
-
-def test_sharded_consensus_requires_serial_dispatch():
-    with pytest.raises(PReVerError, match='dispatch="serial"'):
-        ShardedPReVer(two_shard_specs(), dispatch="process",
-                      consensus="paxos")
 
 
 def test_escalations_order_through_coordinator_driver():

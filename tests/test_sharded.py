@@ -1,5 +1,5 @@
-"""Sharded front-end tests: partitioning, dispatch equivalence,
-cross-shard escalation (fail-closed), and per-shard crash recovery.
+"""Sharded front-end tests: partitioning, cross-shard escalation
+(fail-closed), and per-shard crash recovery.
 
 The load-bearing guarantees pinned here:
 
@@ -8,7 +8,6 @@ The load-bearing guarantees pinned here:
   scale-out, not a semantics change);
 * a single-shard ``ShardedPReVer`` reproduces the *golden* roots and
   WAL bytes of the pre-refactor monolith (tests/test_pipeline_stages);
-* serial and process dispatch agree on every decision and digest;
 * cross-shard constraints without an RC2 federated verifier are
   refused, and escalation rejections never touch a shard's ledger;
 * after a crash — simulated at every injected crash point, and a real
@@ -28,7 +27,7 @@ import pytest
 
 from repro.common.errors import PReVerError
 from repro.core.framework import PReVer
-from repro.core.federated import MPCVerifier, TokenVerifier
+from repro.core.federated import TokenVerifier
 from repro.core.sharded import ShardedPReVer, ShardPlan, ShardSpec
 from repro.crypto.merkle import MerkleTree
 from repro.database.engine import Database
@@ -71,7 +70,7 @@ def shard_db(name, table):
 
 
 def build_shard(name, table, state_dir=None, crash_after=None):
-    """Module-level (picklable) builder for one shard's framework."""
+    """Builder for one shard's framework."""
     durability = None
     if state_dir is not None:
         durability = Durability.wal(os.path.join(state_dir, name))
@@ -150,11 +149,6 @@ def test_unknown_table_fails_whole_batch_before_dispatch():
     sharded.close()
 
 
-def test_unknown_dispatch_mode_rejected():
-    with pytest.raises(PReVerError, match="unknown dispatch"):
-        ShardedPReVer(two_shard_specs(), dispatch="threads")
-
-
 # -- shard == standalone substream equivalence -------------------------------
 
 
@@ -173,6 +167,14 @@ def test_each_shard_equals_standalone_framework_on_its_substream():
         for a, b in zip(sharded_sub, solo_results):
             assert (a.accepted, a.applied, a.ledger_sequence) == \
                 (b.accepted, b.applied, b.ledger_sequence)
+    single = sharded.submit(Update(
+        table=TABLES["s0"], operation=UpdateOperation.INSERT,
+        payload={"id": 900, "who": "bob", "amount": 10},
+        update_id="sh-one",
+    ))
+    assert single.applied and single.shard == "s0"
+    report = sharded.throughput_report()
+    assert report["combined"]["updates"] == len(stream) + 1
     sharded.close()
 
 
@@ -211,31 +213,6 @@ def test_single_shard_front_end_reproduces_monolith_goldens(path, tmp_path):
     assert sharded.digest().root == MerkleTree(
         [bytes.fromhex(golden["root"])]
     ).root()
-
-
-# -- dispatch equivalence ----------------------------------------------------
-
-
-def test_serial_and_process_dispatch_agree():
-    stream = sharded_stream(12)
-    roots, decisions = {}, {}
-    for dispatch in ("serial", "process"):
-        sharded = ShardedPReVer(two_shard_specs(), dispatch=dispatch)
-        results = sharded.submit_many(stream)
-        single = sharded.submit(Update(
-            table=TABLES["s0"], operation=UpdateOperation.INSERT,
-            payload={"id": 900, "who": "bob", "amount": 10},
-            update_id="sh-one",
-        ))
-        assert single.applied and single.shard == "s0"
-        decisions[dispatch] = [(r.shard, r.accepted, r.applied,
-                                r.ledger_sequence) for r in results]
-        roots[dispatch] = sharded.digest().root
-        report = sharded.throughput_report()
-        assert report["combined"]["updates"] == len(stream) + 1
-        sharded.close()
-    assert decisions["serial"] == decisions["process"]
-    assert roots["serial"] == roots["process"]
 
 
 # -- cross-shard constraints: fail-closed escalation -------------------------
@@ -280,18 +257,6 @@ def test_unsupported_cross_shard_verifier_is_refused():
         sharded.register_cross_shard_constraint(
             spanning_count_constraint(), verifier=object()
         )
-    sharded.close()
-
-
-def test_mpc_escalation_needs_in_process_databases():
-    sharded = ShardedPReVer(two_shard_specs(), dispatch="process")
-    constraint = spanning_count_constraint()
-    mpc = MPCVerifier(
-        [shard_db("a", TABLES["s0"]), shard_db("b", TABLES["s0"])],
-        constraint,
-    )
-    with pytest.raises(PReVerError, match="needs them in-process"):
-        sharded.register_cross_shard_constraint(constraint, mpc)
     sharded.close()
 
 
