@@ -33,7 +33,7 @@ across several ``PReVer`` shards behind the same submit API.
 """
 
 import os
-from collections import deque
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.clock import SimClock, WallClock
@@ -44,7 +44,12 @@ from repro.durability.policy import Durability, SimulatedCrash
 from repro.durability.recovery import RecoveryManager
 from repro.durability.snapshot import Snapshotter
 from repro.durability.wal import WriteAheadLog
-from repro.core.outcome import TIMED_STAGES, UpdateResult, VerificationOutcome
+from repro.core.outcome import (
+    TIMED_STAGES,
+    DecisionJournal,
+    UpdateResult,
+    VerificationOutcome,
+)
 from repro.core.pipeline import Pipeline
 from repro.core.routing import ConstraintRouter
 from repro.database.engine import Database
@@ -71,7 +76,6 @@ class PReVer:
         clock: Optional[SimClock] = None,
         require_signed_updates: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        max_results: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         executor=None,
         durability: Optional[Durability] = None,
@@ -93,14 +97,11 @@ class PReVer:
         self.metrics = metrics or MetricsRegistry()
         self.constraints: List[Constraint] = []
         self._authorities: Dict[str, Authority] = {}
-        # Retention: unbounded list by default; a deque(maxlen=...) when
-        # capped, so long benchmark runs don't grow memory without bound.
-        if max_results is not None:
-            if max_results <= 0:
-                raise PReVerError("max_results must be positive")
-            self.results = deque(maxlen=max_results)
-        else:
-            self.results = []
+        # The ledger is the decision journal: the framework keeps only
+        # the sequence numbers of its own decisions there (8 bytes each)
+        # and ``results`` reads them back as records over the leaves.
+        self._decided = array("q")
+        self.results = DecisionJournal(self.ledger, self._decided)
         self._submitted_count = 0
         self._applied_count = 0
         self._wall = WallClock()
@@ -123,10 +124,9 @@ class PReVer:
                 engine.bind_tracer(self.tracer)
         # Execution layer for the crypto-heavy stages: serial by
         # default, a process pool when requested explicitly or via
-        # REPRO_EXECUTOR / REPRO_WORKERS.  Bound into the ledger
-        # (chunked Merkle leaf hashing) and the engine (e.g. parallel
-        # Paillier contribution encryption); decisions and digests are
-        # executor-independent by construction.
+        # REPRO_EXECUTOR / REPRO_WORKERS.  Bound into the engine (e.g.
+        # parallel Paillier contribution encryption); decisions and
+        # digests are executor-independent by construction.
         self.executor = resolve_executor(executor)
         if self.tracer.enabled:
             self.executor.bind_tracer(self.tracer)
@@ -136,8 +136,6 @@ class PReVer:
         # result-invariant for pooled ones, so binding unconditionally
         # is safe.
         self.executor.bind_metrics(self.metrics)
-        if hasattr(self.ledger, "bind_executor"):
-            self.ledger.bind_executor(self.executor)
         if engine is not None and hasattr(engine, "bind_executor"):
             engine.bind_executor(self.executor)
         # Durability: off by default, which keeps every code path (and
@@ -264,11 +262,10 @@ class PReVer:
         tree is extended once per batch instead of once per decision.
 
         ``executor`` overrides the framework's execution layer for this
-        batch only.  Under a parallel executor three crypto stages fan
-        out across workers — batch Schnorr authentication, engine
-        contribution encryption (via the ``prepare_batch`` hook), and
-        Merkle leaf hashing — with results still byte-identical to the
-        serial path.
+        batch only.  Under a parallel executor two crypto stages fan
+        out across workers — batch Schnorr authentication and engine
+        contribution encryption (via the ``prepare_batch`` hook) — with
+        results still byte-identical to the serial path.
         """
         updates = list(updates)
         if not updates:
@@ -401,7 +398,8 @@ class PReVer:
                 reason=update.rejection_reason,
                 failed_constraint=outcome.failed_constraint,
             )
-        result = UpdateResult(
+        self._decided.append(sequence)
+        return UpdateResult(
             update=update,
             outcome=outcome,
             applied=applied,
@@ -409,8 +407,6 @@ class PReVer:
             timings=tuple(map(timings.get, TIMED_STAGES)),
             trace_id=trace_id,
         )
-        self.results.append(result)
-        return result
 
     # -- authenticated reads (RC4's query side) -----------------------------------
 
@@ -572,9 +568,9 @@ class PReVer:
     # -- reporting ---------------------------------------------------------------
 
     def acceptance_rate(self) -> float:
-        """Applied / submitted over the whole run.  Computed from
-        running counters, so it stays correct when ``max_results``
-        evicts old :class:`UpdateResult` records."""
+        """Applied / submitted over the whole run, recovered history
+        included — from two running counters, not by decoding
+        :attr:`results`."""
         if not self._submitted_count:
             return 0.0
         return self._applied_count / self._submitted_count
@@ -586,7 +582,9 @@ class PReVer:
         )
 
     def decision_history(self) -> List[dict]:
-        """Every anchored decision payload, in ledger order — decoded
-        from the stored leaf bytes on each call (one decode per entry),
-        so callers own what they get back."""
+        """Every ledger entry's payload, in ledger order — decoded from
+        the stored leaf bytes on each call (one decode per entry), so
+        callers own what they get back.  That includes entries other
+        writers put on the same ledger (``publish_state`` commitments);
+        :attr:`results` indexes this framework's decisions alone."""
         return [entry.payload for entry in self.ledger.entries()]

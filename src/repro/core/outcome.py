@@ -1,14 +1,21 @@
 """Result types shared by all verification engines and the pipeline.
 
-One :class:`UpdateResult` per decided update stays resident for as long
-as the framework retains results, so both records are slotted and share
-what is the same for every update of an engine — the constraint-id
-sequence and the empty evidence mapping — instead of copying it.
+``submit`` / ``submit_many`` hand the caller one :class:`UpdateResult`
+per update; the framework keeps none of them.  Both records are slotted
+and share what is the same for every update of an engine — the
+constraint-id sequence and the empty evidence mapping — instead of
+copying it, because callers (replicas, the serving tier) may hold many.
+
+What the framework does keep is :class:`DecisionJournal`: its decisions'
+ledger sequence numbers, one 8-byte slot each, read back as
+:class:`DecisionRecord` views over the anchored leaves.
 """
 
+from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.model.update import Update
 
@@ -101,3 +108,82 @@ class UpdateResult:
                 for name, seconds in zip(TIMED_STAGES, self.timings)
                 if seconds is not None}
 
+
+class DecisionRecord:
+    """One decided update as the ledger holds it: a ledger and the
+    sequence number of the decision's entry there.
+
+    Nothing decoded is stored — :attr:`payload` and the fields read
+    from it decode the anchored leaf on every read, so bind
+    :attr:`payload` to a local when reading more than one field.
+    Immutable: assignment raises
+    :class:`~dataclasses.FrozenInstanceError`.
+    """
+
+    __slots__ = ("_ledger", "ledger_sequence")
+
+    def __init__(self, ledger, sequence: int):
+        _set = object.__setattr__
+        _set(self, "_ledger", ledger)
+        _set(self, "ledger_sequence", sequence)
+
+    @property
+    def payload(self) -> dict:
+        """The anchored decision payload (a fresh decode)."""
+        return self._ledger.entry(self.ledger_sequence).payload
+
+    @property
+    def update_id(self) -> str:
+        return self.payload["update_id"]
+
+    @property
+    def status(self) -> str:
+        """The update's status when anchored: ``"applied"`` or
+        ``"rejected"``."""
+        return self.payload["status"]
+
+    @property
+    def applied(self) -> bool:
+        return self.status == "applied"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DecisionRecord(ledger_sequence={self.ledger_sequence!r})"
+
+
+class DecisionJournal(SequenceABC):
+    """A framework's decisions, in decision order: a read-only
+    sequence of :class:`DecisionRecord` over its ledger.
+
+    Backed by ``sequences``, the ``array('q')`` of ledger sequence
+    numbers the framework appends to as it decides (or recovers)
+    updates — an index, because other writers (``publish_state``,
+    apps) append non-decision entries to the same ledger.  Records are
+    built on each read and own nothing.
+    """
+
+    __slots__ = ("_ledger", "_sequences")
+
+    def __init__(self, ledger, sequences: array):
+        self._ledger = ledger
+        self._sequences = sequences
+
+    def __len__(self) -> int:
+        return len(self._sequences)
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[DecisionRecord, List[DecisionRecord]]:
+        if isinstance(index, slice):
+            return [DecisionRecord(self._ledger, sequence)
+                    for sequence in self._sequences[index]]
+        return DecisionRecord(self._ledger, self._sequences[index])
+
+    def __iter__(self):
+        ledger = self._ledger
+        for sequence in self._sequences:
+            yield DecisionRecord(ledger, sequence)

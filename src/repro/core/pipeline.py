@@ -433,8 +433,7 @@ class AnchorStage(Stage):
         # exactly here; the Merkle leaves and the WAL anchor frame both
         # splice these fragments (byte-identical to re-encoding).
         encoded = [encode_canonical(payload) for payload in payloads]
-        entries = fw.ledger.append_batch(payloads, executor=executor,
-                                         encoded_payloads=encoded)
+        entries = fw.ledger.append_batch(payloads, encoded_payloads=encoded)
         anchor_end = fw._wall.now()
         anchor_elapsed = anchor_end - start
         fw.metrics.timer("pipeline.anchor_batch").record(anchor_elapsed)

@@ -26,17 +26,6 @@ def leaf_hash(data: bytes) -> bytes:
     return sha256d(_LEAF_PREFIX + data, domain=b"merkle")
 
 
-def _leaf_hash_chunk(datas: List[bytes]) -> List[bytes]:
-    """Executor chunk function: hash a contiguous run of leaf data.
-
-    Leaf hashes are independent of each other and of tree position, so
-    hashing chunks in worker processes and concatenating in order is
-    bit-identical to hashing serially — every root and proof derived
-    from them is unchanged.
-    """
-    return [leaf_hash(data) for data in datas]
-
-
 def node_hash(left: bytes, right: bytes) -> bytes:
     return sha256d(_NODE_PREFIX + left + right, domain=b"merkle")
 
@@ -110,25 +99,15 @@ class MerkleTree:
         self._leaf_hashes.append(leaf_hash(data))
         return len(self._leaf_hashes) - 1
 
-    def extend(self, datas: Iterable[bytes], executor=None) -> range:
+    def extend(self, datas: Iterable[bytes]) -> range:
         """Append many leaves at once; returns their index range.
 
         Equivalent to appending each in order — leaf hashes (and so
         every root and proof) are identical — but avoids per-leaf call
-        overhead on the batched ledger path.  With a parallel
-        ``executor`` the leaf hashing is chunked across workers and the
-        hashes are spliced back in order; the tree structure itself is
-        always combined serially, so roots and proofs stay
-        bit-identical to the serial path.
+        overhead on the batched ledger path.
         """
         start = len(self._leaf_hashes)
-        if executor is not None and getattr(executor, "parallel", False):
-            self._leaf_hashes.extend(
-                executor.map_chunks(_leaf_hash_chunk, list(datas),
-                                    label="merkle.leaves")
-            )
-        else:
-            self._leaf_hashes.extend(leaf_hash(data) for data in datas)
+        self._leaf_hashes.extend(leaf_hash(data) for data in datas)
         return range(start, len(self._leaf_hashes))
 
     def root(self, size: int = None) -> bytes:

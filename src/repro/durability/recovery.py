@@ -4,13 +4,14 @@ Recovery restores the state as of the *last durable anchor marker*:
 
 1. load the newest valid snapshot (if any) into the freshly built
    framework — tables, ledger Merkle frontier, engine aggregates,
-   counters;
+   counters, decision index;
 2. replay WAL records after the snapshot LSN.  ``update`` records are
    staged; an ``anchor`` record commits its batch — staged updates the
    anchor marks ``applied`` are re-applied to the database and engine,
-   and the anchored payloads are re-appended to the ledger verbatim,
-   after which the recomputed Merkle root must equal the root the
-   marker recorded (fail-closed per batch, not just at the end);
+   and the anchored payloads are re-appended to the ledger verbatim
+   and indexed as the framework's decisions (``results``), after which
+   the recomputed Merkle root must equal the root the marker recorded
+   (fail-closed per batch, not just at the end);
 3. staged updates never covered by an anchor are dropped: the original
    process crashed before their batch's group-commit fsync, so they
    were never durable decisions;
@@ -161,7 +162,7 @@ class RecoveryManager:
     def _replay_anchor(self, framework, lsn: int, data: dict,
                        pending: dict, report: RecoveryReport) -> None:
         """Commit one anchored batch: re-apply its accepted updates,
-        re-anchor its payloads, verify the recorded root."""
+        re-anchor and index its payloads, verify the recorded root."""
         payloads: List[dict] = data["payloads"]
         engine = framework.engine
         for payload in payloads:
@@ -183,7 +184,8 @@ class RecoveryManager:
             framework._submitted_count += 1
             if applied:
                 framework._applied_count += 1
-        framework.ledger.append_batch(payloads)
+        entries = framework.ledger.append_batch(payloads)
+        framework._decided.extend(entry.sequence for entry in entries)
         digest = framework.ledger.digest()
         if digest.root.hex() != data["root"] or digest.size != data["size"]:
             raise IntegrityError(

@@ -3,7 +3,8 @@
 A snapshot captures, at a WAL position ``lsn``: every database table's
 rows, the ledger's entries + Merkle leaf-hash frontier + root, the
 engine's durable aggregate state (ciphertext values for Paillier —
-never decrypted plaintext), and the pipeline counters.  Recovery loads
+never decrypted plaintext), and the pipeline counters with the index
+of which ledger entries are decisions.  Recovery loads
 the newest valid snapshot and replays only WAL records after its LSN.
 
 Files are written atomically — serialize to ``<name>.tmp``, fsync,
@@ -16,7 +17,7 @@ longer WAL replay) rather than serving corrupt state.
 
 import os
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import DurabilityError
 from repro.common.metrics import MetricsRegistry
@@ -35,6 +36,19 @@ def _snapshot_name(lsn: int) -> str:
     return f"snap-{lsn:012d}.json"
 
 
+def _runs(sequences) -> List[List[int]]:
+    """``[start, stop)`` runs of consecutive ledger sequence numbers —
+    a framework's decisions are one run unless other writers
+    interleaved entries on its ledger."""
+    runs: List[List[int]] = []
+    for sequence in sequences:
+        if runs and runs[-1][1] == sequence:
+            runs[-1][1] = sequence + 1
+        else:
+            runs.append([sequence, sequence + 1])
+    return runs
+
+
 def capture_state(framework, wal_lsn: int) -> dict:
     """Serialize a framework's durable state as of WAL position
     ``wal_lsn`` (everything recovery needs; nothing secret — key
@@ -50,6 +64,7 @@ def capture_state(framework, wal_lsn: int) -> dict:
         "counters": {
             "submitted": framework._submitted_count,
             "applied": framework._applied_count,
+            "decided": _runs(framework._decided),
         },
         "databases": {
             database.name: {
@@ -227,6 +242,8 @@ def restore_state(framework, state: dict) -> None:
     counters = state["counters"]
     framework._submitted_count = counters["submitted"]
     framework._applied_count = counters["applied"]
+    for start, stop in counters["decided"]:
+        framework._decided.extend(range(start, stop))
     clock_now = state["clock_now"]
     if hasattr(framework.clock, "advance_to") and clock_now > framework.clock.now():
         framework.clock.advance_to(clock_now)

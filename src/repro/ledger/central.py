@@ -122,24 +122,16 @@ class LedgerDigest:
 class CentralLedger:
     """Append-only journal with Merkle anchoring."""
 
-    def __init__(self, name: str = "ledger", tracer=None, executor=None):
+    def __init__(self, name: str = "ledger", tracer=None):
         self.name = name
         self._entries: List[LedgerEntry] = []
         self._tree = MerkleTree()
         self._tracer = tracer or NOOP_TRACER
-        self._executor = executor
 
     def bind_tracer(self, tracer) -> None:
         """Attach a tracer after construction (the framework does this
         so Merkle-extension spans appear in pipeline traces)."""
         self._tracer = tracer
-
-    def bind_executor(self, executor) -> None:
-        """Attach an execution layer; batch appends then hash their
-        leaf chunks across its workers (roots stay bit-identical —
-        only the leaf hashing parallelizes, the tree combines
-        serially)."""
-        self._executor = executor
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -163,7 +155,7 @@ class CentralLedger:
         self._tree.append(entry.leaf_bytes())
         return entry
 
-    def append_batch(self, payloads: Sequence[Any], executor=None,
+    def append_batch(self, payloads: Sequence[Any],
                      encoded_payloads: Optional[Sequence[str]] = None,
                      ) -> List[LedgerEntry]:
         """Append many payloads under one amortized Merkle extension.
@@ -172,8 +164,6 @@ class CentralLedger:
         the same leaf bytes, digests, inclusion and consistency proofs)
         as if each payload had been :meth:`append`-ed individually —
         the tree is simply extended in bulk instead of leaf-by-leaf.
-        ``executor`` overrides the bound execution layer for this batch
-        (leaf-chunk hashing only; results are digest-identical).
         ``encoded_payloads`` (parallel to ``payloads``) carries each
         payload's canonical JSON when the caller already encoded it;
         leaf bytes are then assembled by fragment splicing — zero
@@ -181,7 +171,6 @@ class CentralLedger:
         way the ledger keeps the leaf bytes and drops the payload
         objects.
         """
-        executor = executor if executor is not None else self._executor
         start = len(self._entries)
         if encoded_payloads is None:
             entries = [
@@ -202,9 +191,9 @@ class CentralLedger:
         if self._tracer.enabled:
             with self._tracer.span("merkle.extend", ledger=self.name,
                                    leaves=len(entries), start=start):
-                self._tree.extend(leaf_data, executor=executor)
+                self._tree.extend(leaf_data)
         else:
-            self._tree.extend(leaf_data, executor=executor)
+            self._tree.extend(leaf_data)
         return entries
 
     def entry(self, sequence: int) -> LedgerEntry:

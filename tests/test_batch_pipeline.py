@@ -269,18 +269,6 @@ def test_ledger_append_batch_equals_sequential_appends():
     )
 
 
-def test_max_results_retention_cap():
-    framework = PReVer([make_db()], max_results=5)
-    framework.register_constraint(positive_constraint())
-    stream = [make_update(i, amount=(10 if i % 2 == 0 else -1))
-              for i in range(20)]
-    framework.submit_many(stream)
-    assert len(framework.results) == 5
-    # Running counters survive eviction: 10 of 20 applied.
-    assert framework.acceptance_rate() == 0.5
-    assert framework.metrics.counter("pipeline.updates").count == 20
-
-
 def test_throughput_report_shape():
     framework = build_framework()
     framework.submit_many([make_update(i) for i in range(4)])

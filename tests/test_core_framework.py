@@ -252,3 +252,97 @@ def test_result_records_are_slotted_and_survive_pickling():
             r.stage_timings for r in results
         ]
         assert all(c.outcome.evidence is NO_EVIDENCE for c in clones)
+
+
+# -- results: a read-only view of the decisions on the ledger -----------------
+
+
+def _pinned_cap():
+    cap = upper_bound_regulation("cap", "events", "amount", 25, ["who"])
+    cap.constraint_id = "cst-view-cap"  # replicas anchor the same id
+    return cap
+
+
+def _plaintext_framework():
+    from repro.core.contexts import single_private_database
+
+    return single_private_database(make_db(), [_pinned_cap()],
+                                   engine="plaintext")
+
+
+def _deployment(kind):
+    """``(submit_many, every framework holding a copy of the ledger)``;
+    the first framework is the one whose ``results`` is read."""
+    if kind == "paxos-primary":
+        from repro.consensus.driver import PaxosDriver
+        from repro.core.replicated import ReplicatedShard
+
+        shard = ReplicatedShard(_plaintext_framework, replicas=3,
+                                driver=PaxosDriver())
+        assert shard.primary is shard.replicas[0]
+        return shard.submit_many, shard.replicas
+    if kind == "plaintext":
+        framework = _plaintext_framework()
+    else:
+        from repro.core.contexts import single_private_database
+
+        framework = single_private_database(make_db(), [_pinned_cap()],
+                                            engine="paillier")
+        framework.require_signed_updates = True
+    return framework.submit_many, [framework]
+
+
+@pytest.mark.parametrize("kind", ["plaintext", "paillier-signed",
+                                  "paxos-primary"])
+def test_results_is_a_read_only_view_of_this_frameworks_decisions(kind):
+    """``results`` indexes this framework's decisions on its ledger:
+    entries other writers append there are not decisions, the records
+    decode what was anchored, and nothing about it can be written."""
+    from dataclasses import FrozenInstanceError
+
+    submit_many, frameworks = _deployment(kind)
+    framework = frameworks[0]
+    producer = DataProducer("alice")
+    stream = [make_update(i, who=f"w{i % 2}").sign_with(producer)
+              for i in range(12)]
+    returned = submit_many(stream[:5])
+    for copy in frameworks:  # ledger sequence 5: not a decision
+        copy.ledger.append({"note": "operator entry"})
+    returned += submit_many(stream[5:9])
+    for copy in frameworks:  # ledger sequence 10: a state commitment
+        copy.publish_state("events")
+    returned += submit_many(stream[9:])
+
+    view = framework.results
+    expected = [(r.ledger_sequence, r.update.update_id, r.applied)
+                for r in returned]
+    assert [(r.ledger_sequence, r.update_id, r.applied) for r in view] \
+        == expected
+    assert len(view) == len(stream) == len(framework.ledger) - 2
+    sequences = [sequence for sequence, _, _ in expected]
+    assert 5 not in sequences and 10 not in sequences
+    assert 0 < sum(applied for _, _, applied in expected) < len(stream)
+    assert framework.acceptance_rate() == \
+        sum(r.applied for r in view) / len(view)
+
+    def at(records):
+        return [record.ledger_sequence for record in records]
+
+    assert view[0].ledger_sequence == sequences[0]
+    assert view[-4].ledger_sequence == sequences[-4]
+    assert at(view[2:7]) == sequences[2:7]
+    assert at(view[::-3]) == sequences[::-3]
+    assert at(reversed(view)) == sequences[::-1]
+    with pytest.raises(IndexError):
+        view[len(stream)]
+    first = view[0]
+    assert first.payload == framework.ledger.entry(0).payload
+    assert first.status == ("applied" if first.applied else "rejected")
+
+    assert not hasattr(view, "append")
+    with pytest.raises(TypeError):
+        view[0] = first
+    for name in ("ledger_sequence", "update_id", "status", "applied",
+                 "payload"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(first, name, None)

@@ -464,6 +464,56 @@ def test_recovered_engine_decides_like_the_process_that_crashed(tmp_path):
     recovered.close()
 
 
+@pytest.mark.parametrize("mode", ["wal", "wal+snapshot"])
+@pytest.mark.parametrize("engine", ["plaintext", "paillier"])
+def test_recovered_results_index_the_anchored_decisions(tmp_path, engine,
+                                                        mode):
+    """WAL replay and snapshot restore register the decisions they
+    restore: after a crash mid-stream, the recovered ``results`` read
+    what an uncrashed run decided on the anchored prefix, at the ledger
+    sequences the crashed process anchored them at."""
+    bound = 50
+    stream = [make_update(i, co2=20, org=f"org-{i % 3}") for i in range(20)]
+    chunks = [stream[at:at + 4] for at in range(0, len(stream), 4)]
+
+    reference, _ = build(engine=engine, bound=bound)
+    expected = [(r.update.update_id, r.applied)
+                for chunk in chunks[:4] for r in reference.submit_many(chunk)]
+    assert len(expected) == 16 and 0 < reference.acceptance_rate() < 1
+
+    directory = durable_dir(tmp_path)
+    durability = (Durability.wal(directory) if mode == "wal" else
+                  Durability.wal_with_snapshots(directory, snapshot_every=0))
+    live, _ = build(engine=engine, durability=durability, bound=bound)
+    anchored = []
+    for number, chunk in enumerate(chunks[:4]):
+        anchored += [(r.ledger_sequence, r.update.update_id, r.applied)
+                     for r in live.submit_many(chunk)]
+        if number == 1 and mode == "wal+snapshot":
+            # A non-decision entry inside the snapshot, then a snapshot
+            # that WAL replay of batches 3 and 4 extends.
+            live.publish_state("emissions")
+            live.snapshot_now()
+    live.close()
+
+    crashing, _ = build(engine=engine, bound=bound,
+                        durability=durability.with_crash_after(
+                            "anchor_append"))
+    crashing.recover()
+    with pytest.raises(SimulatedCrash):
+        crashing.submit_many(chunks[4])
+
+    recovered, _ = build(engine=engine, durability=durability, bound=bound)
+    assert recovered.recover().verified_against_anchor
+    results = recovered.results
+    assert [(r.update_id, r.applied) for r in results] == expected
+    assert [(r.ledger_sequence, r.update_id, r.applied)
+            for r in results] == anchored
+    assert len(results) == recovered._submitted_count == 16
+    assert recovered.acceptance_rate() == reference.acceptance_rate()
+    recovered.close()
+
+
 def test_durability_off_is_byte_identical(tmp_path):
     """Anchored payloads never depend on the durability mode: ledger
     roots with durability off equal roots with it on."""

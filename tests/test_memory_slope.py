@@ -3,21 +3,22 @@
 The rule the ledger, outcome and database layers keep: once
 ``Pipeline.run_batch`` returns, a decided update is its table row, one
 ledger entry (sequence + canonical leaf bytes, plus the leaf hash in the
-tree) and one slotted result record.  Three deployment shapes are held
-to a traced-bytes-per-update budget — tracemalloc, ``gc.collect()``
-before each reading, the slope between two readings so set-up and
-warm-up cancel — and an object-graph walk checks that none of the three
-stores keeps a ``dict`` per update besides the row itself.
+tree) and one 8-byte slot in the framework's decision index
+(``PReVer.results`` reads the ledger through it).  Three deployment
+shapes are held to a traced-bytes-per-update budget — tracemalloc,
+``gc.collect()`` before each reading, the slope between two readings so
+set-up and warm-up cancel — and an object-graph walk checks that none
+of the three stores keeps a ``dict`` per update besides the row itself.
 
 Budgets are this tree's measurement + 15 %.  The parent commit
-(d2cb1cb: payload dict + decision dict + memoised bytes per entry,
-dict-backed result records, ``Database.log`` images, a transcript copy)
-read, with the same code:
+(d1678bc: one retained ``UpdateResult`` per decision — the record, its
+outcome, the ``Update`` with payload, producers and signature, a
+timings tuple) read, with the same code:
 
     shape                         parent    this tree   budget
-    plaintext, row predicate       2,925      1,570      1,800
-    3 replicas, LocalDriver        7,563      3,593      4,130
-    Paillier, signed updates       3,338      2,082      2,390   (B/update)
+    plaintext, row predicate       1,570      1,040      1,200
+    3 replicas, LocalDriver        3,593      2,896      3,330
+    Paillier, signed updates       2,082      1,128      1,300   (B/update)
 
 Print the current readings with ``PYTHONPATH=src python
 tests/test_memory_slope.py``.
@@ -49,8 +50,8 @@ from repro.model.participants import DataProducer
 from repro.model.update import Update, UpdateOperation
 from repro.parallel.executors import SERIAL_EXECUTOR
 
-BUDGET_BYTES_PER_UPDATE = {"plain": 1800, "replicated": 4130,
-                           "paillier": 2390}
+BUDGET_BYTES_PER_UPDATE = {"plain": 1200, "replicated": 3330,
+                           "paillier": 1300}
 CHUNK = 32
 
 
@@ -162,14 +163,14 @@ def test_retained_bytes_per_decided_update(shape):
 _OPAQUE = (type, ModuleType, FunctionType, BuiltinFunctionType)
 
 
-def dicts_reachable(root, stop_at=()) -> int:
+def dicts_reachable(root) -> int:
     """Plain ``dict`` objects reachable from ``root`` through the object
     graph (instance ``__dict__``s included), not descending into
-    classes, modules, functions or instances of ``stop_at``."""
+    classes, modules or functions."""
     seen, stack, count = set(), [root], 0
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, _OPAQUE + tuple(stop_at)):
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
             continue
         seen.add(id(obj))
         count += type(obj) is dict
@@ -186,9 +187,11 @@ def test_no_store_keeps_a_dict_per_update_besides_the_table_row():
     assert len(framework.ledger) == decided and 0 < len(table) < decided
     constant = 16  # instance __dict__s, tree and index bookkeeping
     assert dicts_reachable(framework.ledger) <= constant
-    # A result record holds its update (whose payload dict is the
-    # producer's) and an outcome; neither record is dict-backed.
-    assert dicts_reachable(framework.results, stop_at=(Update,)) <= constant
+    # The decision journal is an index into that ledger: walking the
+    # view, or every record it hands out, reaches nothing new.
+    assert len(framework.results) == decided
+    assert dicts_reachable(framework.results) <= constant
+    assert dicts_reachable(framework.results[:]) <= constant
     assert dicts_reachable(framework.databases[0]) <= len(table) + constant
 
 

@@ -6,8 +6,8 @@ Two families of guarantees:
   small-batch fast path, and env-driven selection;
 * equivalence — decisions, applied rows, ledger roots and proofs are
   byte-identical whichever executor runs the crypto, for the plaintext
-  and Paillier engines, batch signature verification, Merkle extension,
-  and the Paillier batch primitives.
+  and Paillier engines, batch signature verification, and the Paillier
+  batch primitives.
 
 Also covers the satellite edge cases: a tampered signature inside an
 otherwise-valid batch, empty batches, batches of one, non-coprime
@@ -26,7 +26,6 @@ from repro.common.randomness import deterministic_rng
 from repro.core.contexts import single_private_database
 from repro.core.framework import PReVer
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierError,
@@ -306,24 +305,6 @@ def test_framework_traces_parallel_spans():
     assert all(span.attributes["workers"] == 2 for span in maps)
     assert "paillier.encrypt" in {span.attributes["label"] for span in maps}
     assert tracer.spans_named("parallel.chunk")
-
-
-# -- Merkle chunked extension -----------------------------------------------
-
-def test_merkle_parallel_extend_bit_identical():
-    datas = [f"leaf-{i}".encode() for i in range(23)]
-    serial_tree, parallel_tree = MerkleTree(), MerkleTree()
-    for data in datas:
-        serial_tree.append(data)
-    parallel_tree.extend(datas, executor=small_parallel())
-    assert serial_tree.root() == parallel_tree.root()
-    for index, data in enumerate(datas):
-        proof = parallel_tree.inclusion_proof(index)
-        assert verify_inclusion(serial_tree.root(), data, proof)
-    # Growing the tree again keeps histories aligned.
-    serial_tree.extend([b"more-1", b"more-2"])
-    parallel_tree.extend([b"more-1", b"more-2"], executor=small_parallel())
-    assert serial_tree.root() == parallel_tree.root()
 
 
 # -- batch signature verification -------------------------------------------
