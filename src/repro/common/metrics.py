@@ -1,7 +1,7 @@
 """A small metrics registry.
 
 Benchmarks and protocol simulations record counters (messages sent,
-bytes on the wire, constraint checks), timers, and histograms.  The
+bytes on the wire, constraint checks), gauges, and latency sketches.  The
 registry is explicit — components receive one rather than writing to a
 global — so parallel experiments never interfere.
 
@@ -11,9 +11,8 @@ two runs of the same experiment diff cleanly (see
 """
 
 import math
-import statistics
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.clock import WallClock
 
@@ -23,10 +22,9 @@ def nearest_rank(samples: Sequence[float], pct: float) -> float:
     such that at least ``pct`` percent of samples are <= it (so p50 of
     ``[1, 2, 3, 4]`` is 2, not 3), and 0.0 for an empty sequence.
 
-    This is the one percentile definition the codebase uses —
-    :meth:`Timer.percentile`, the consensus cluster stats, and the
-    benchmark reports all delegate here, so latency quantiles are
-    comparable across every artifact.
+    The exact reference :meth:`Timer.percentile` approximates (the
+    tests hold it to 1 % of this), and the statistic the consensus
+    cluster stats compute over their own latency list.
     """
     if not samples:
         return 0.0
@@ -72,110 +70,129 @@ class Gauge:
         return {"name": self.name, "value": self.value}
 
 
+#: The one bucket for values <= 0; below every ``frexp`` exponent * 64.
+_ZERO_KEY = -1 << 20
+
+
 class Timer:
-    """Collects durations; reports mean / p50 / p95 / p99 / max."""
+    """A bounded, mergeable log-linear latency sketch (HDR-style).
+
+    ``count``, ``total``, ``min`` and ``max`` are exact; each value
+    also lands in a bucket keyed by its ``math.frexp`` exponent and a
+    64-way mantissa sub-bucket (values <= 0 share one zero bucket), so
+    memory grows with the spread of values, never with their number.
+    A bucket spans 1/128 of its power of two: its midpoint is within
+    0.8 % of any value it holds.
+    :meth:`percentile` is nearest-rank over the buckets: within 1 %
+    of :func:`nearest_rank` over the raw samples, and exact at p0
+    (``min``), p100 (``max``) and for a single sample.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self.samples: List[float] = []
+        self.count = 0
         self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.buckets: Dict[int, int] = {}
 
     def record(self, seconds: float) -> None:
-        self.samples.append(seconds)
+        self.count += 1
         self.total += seconds
+        if seconds < self.min:
+            self.min = seconds
+        if seconds > self.max:
+            self.max = seconds
+        # The bucket goes last: a reader that sees it sees min and max.
+        if seconds > 0.0:
+            mantissa, exponent = math.frexp(seconds)
+            key = exponent * 64 + int((mantissa - 0.5) * 128)
+        else:
+            key = _ZERO_KEY
+        buckets = self.buckets
+        buckets[key] = buckets.get(key, 0) + 1
+
+    def merge(self, count: int, total: float, low: float, high: float,
+              buckets: Dict[int, int]) -> None:
+        """Fold in another sketch's ``state()`` (or a diff of two)."""
+        self.count += count
+        self.total += total
+        self.min = min(self.min, low)
+        self.max = max(self.max, high)
+        mine = self.buckets
+        for key, n in buckets.items():
+            mine[key] = mine.get(key, 0) + n
+
+    def state(self) -> tuple:
+        """``(count, total, min, max, buckets)``, counted from one
+        bucket copy so the two agree while another thread records."""
+        buckets = self.buckets.copy()
+        return (sum(buckets.values()), self.total, self.min, self.max,
+                buckets)
 
     @property
     def mean(self) -> float:
-        return statistics.fmean(self.samples) if self.samples else 0.0
+        return self.total / self.count if self.count else 0.0
 
     def percentile(self, pct: float) -> float:
-        """Nearest-rank percentile: the smallest sample such that at
-        least ``pct`` percent of samples are <= it (so p50 of
-        ``[1, 2, 3, 4]`` is 2, not 3)."""
-        return nearest_rank(self.samples, pct)
+        return self.quantiles(pct)[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": len(self.samples),
-            "mean": self.mean,
-            "total": self.total,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": max(self.samples) if self.samples else 0.0,
-        }
-
-    def summary(self) -> dict:
-        """Alias for :meth:`to_dict` — the reporting-side name."""
-        return self.to_dict()
-
-
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics).
-
-    Each bucket counts observations ``<= upper_bound``; an implicit
-    ``+inf`` bucket catches the rest, so ``counts[-1] == count``.
-    Default buckets suit sub-second latencies in seconds.
-    """
-
-    DEFAULT_BUCKETS = (
-        0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-        0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-    )
-
-    def __init__(self, name: str, buckets: Optional[Sequence[float]] = None):
-        self.name = name
-        bounds = tuple(sorted(buckets if buckets is not None
-                              else self.DEFAULT_BUCKETS))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bounds = bounds
-        # One slot per finite bound plus the +inf overflow slot.
-        self._bucket_counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self._bucket_counts[i] += 1
-                return
-        self._bucket_counts[-1] += 1
-
-    def cumulative_buckets(self) -> List[tuple]:
-        """``[(upper_bound, cumulative_count), ...]`` ending at +inf."""
+    def quantiles(self, *pcts: float) -> List[float]:
+        """Nearest-rank percentiles for each of ``pcts`` in one pass
+        over the sorted buckets: the midpoint of the bucket holding the
+        rank, clamped to ``[min, max]``; 0.0 when empty."""
+        # Sort a copy: a dict copy is one C call that a concurrent
+        # record cannot interleave with, while iterating is not.
+        items = sorted(self.buckets.copy().items())
+        n = sum(count for _, count in items)
         out = []
-        running = 0
-        for bound, n in zip(self.bounds, self._bucket_counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), self.count))
+        for pct in pcts:
+            if not n:
+                out.append(0.0)
+            elif pct <= 0:
+                out.append(self.min)
+            elif pct >= 100:
+                out.append(self.max)
+            else:
+                rank = min(n, max(1, math.ceil(pct / 100.0 * n)))
+                seen = 0
+                for key, count in items:
+                    seen += count
+                    if seen >= rank:
+                        break
+                mid = 0.0 if key == _ZERO_KEY else math.ldexp(
+                    0.5 + (key % 64 + 0.5) / 128, key // 64)
+                out.append(min(self.max, max(self.min, mid)))
         return out
 
     def to_dict(self) -> dict:
+        p50, p95, p99 = self.quantiles(50, 95, 99)
         return {
             "name": self.name,
-            "count": self.count,
+            "n": self.count,
+            "mean": self.mean,
             "total": self.total,
-            "buckets": [
-                {"le": bound, "count": n}
-                for bound, n in self.cumulative_buckets()
-            ],
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
+            "max": self.max if self.count else 0.0,
         }
 
 
 class MetricsRegistry:
-    """Holds named counters, gauges, timers, and histograms for one run."""
+    """Holds named counters, gauges, timers, and histograms for one run.
+
+    Timers and histograms are the same :class:`Timer` sketch; the two
+    families differ only in name — a histogram holds unitless values
+    (batch sizes), so its export carries no ``_seconds`` suffix.
+    """
 
     def __init__(self, clock=None):
         self._clock = clock or WallClock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._timers: Dict[str, Timer] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._histograms: Dict[str, Timer] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
@@ -192,10 +209,9 @@ class MetricsRegistry:
             self._timers[name] = Timer(name)
         return self._timers[name]
 
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
+    def histogram(self, name: str) -> Timer:
         if name not in self._histograms:
-            self._histograms[name] = Histogram(name, buckets)
+            self._histograms[name] = Timer(name)
         return self._histograms[name]
 
     def counter_value(self, name: str) -> int:
@@ -272,15 +288,15 @@ class MetricsRegistry:
             if not name.startswith(stage_prefix):
                 continue
             stage = name[len(stage_prefix):]
-            n = len(timer.samples)
+            p50, p95, p99 = timer.quantiles(50, 95, 99)
             stages[stage] = {
-                "n": n,
+                "n": timer.count,
                 "mean": timer.mean,
                 "total": timer.total,
-                "p50": timer.percentile(50),
-                "p95": timer.percentile(95),
-                "p99": timer.percentile(99),
-                "per_sec": (n / timer.total) if timer.total else 0.0,
+                "p50": p50,
+                "p95": p95,
+                "p99": p99,
+                "per_sec": (timer.count / timer.total) if timer.total else 0.0,
             }
             total_seconds += timer.total
         return {

@@ -8,8 +8,8 @@ coordinator-side work.  This module closes the gap with three
 picklable pieces:
 
 * :class:`TelemetryDelta` — a serializable increment of one registry's
-  counters / gauges / timers / histograms plus any finished span dicts,
-  cheap enough to ride back alongside results;
+  counters / gauges / timer and histogram sketches plus any finished
+  span dicts, cheap enough to ride back alongside results;
 * :class:`DeltaTracker` — computes successive deltas against a live
   registry (and optionally a recording tracer), so long-lived workers
   ship only what happened since the last capture;
@@ -25,6 +25,7 @@ records chunk/item counters and a chunk timer, and returns
 ``(results, delta, pid)``.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -33,26 +34,56 @@ from typing import Dict, List, Tuple
 from repro.common.metrics import MetricsRegistry
 
 
+#: A sketch's plain-data form, :meth:`~repro.common.metrics.Timer.state`:
+#: ``(count, total, min, max, {bucket key: count})``.
+SketchState = Tuple[int, float, float, float, Dict[int, int]]
+
+
 @dataclass
 class TelemetryDelta:
     """One registry's increment since the previous capture.
 
     Everything in here is plain picklable data: counter ``(count,
-    total)`` pairs, gauge values, the *new* timer samples (samples, not
-    summaries, so coordinator-side percentiles stay exact after a
-    merge), histogram bucket increments, and finished-span dicts.
+    total)`` pairs, gauge values, per-sketch :data:`SketchState` diffs
+    for timers and histograms (count, total and the bucket counts that
+    moved, with the source's running ``min`` / ``max``), and
+    finished-span dicts.  A merged sketch therefore reads the same
+    percentiles, within the sketch's 1 % bound, as one that saw every
+    sample itself.
     """
 
     counters: Dict[str, Tuple[int, float]] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    timers: Dict[str, List[float]] = field(default_factory=dict)
-    histograms: Dict[str, dict] = field(default_factory=dict)
+    timers: Dict[str, SketchState] = field(default_factory=dict)
+    histograms: Dict[str, SketchState] = field(default_factory=dict)
     spans: List[dict] = field(default_factory=list)
 
     def empty(self) -> bool:
         """True when nothing moved since the previous capture."""
         return not (self.counters or self.gauges or self.timers
                     or self.histograms or self.spans)
+
+
+_EMPTY: SketchState = (0, 0.0, math.inf, -math.inf, {})
+
+
+def _sketch_deltas(sketches: dict, seen: Dict[str, SketchState],
+                   out: Dict[str, SketchState]) -> None:
+    """Diff every sketch in ``sketches`` against ``seen`` into ``out``,
+    advancing ``seen`` to what was shipped.  A sketch whose count has
+    not moved keeps its old baseline, so a record in flight during the
+    read is shipped whole by a later capture."""
+    for name, sketch in sketches.copy().items():
+        now = sketch.state()
+        then = seen.get(name, _EMPTY)
+        if now[0] != then[0]:
+            count, total, low, high, buckets = now
+            before = then[4]
+            out[name] = (count - then[0], total - then[1], low, high,
+                         {key: n - before.get(key, 0)
+                          for key, n in buckets.items()
+                          if n != before.get(key, 0)})
+            seen[name] = now
 
 
 class DeltaTracker:
@@ -63,7 +94,8 @@ class DeltaTracker:
     wants.  ``origin=False`` baselines at the registry's current state,
     so a capture covers exactly the activity since construction — what
     a per-call chunk wrapper wants.  Either way, every capture advances
-    the baseline, so repeated captures never double-count.
+    the baseline to the values it read, so repeated captures never
+    double-count, even while another thread records.
     """
 
     def __init__(self, registry: MetricsRegistry, tracer=None,
@@ -72,63 +104,36 @@ class DeltaTracker:
         self.tracer = tracer
         self._counters: Dict[str, Tuple[int, float]] = {}
         self._gauges: Dict[str, float] = {}
-        self._timer_counts: Dict[str, int] = {}
-        self._hist_counts: Dict[str, List[int]] = {}
-        self._hist_totals: Dict[str, float] = {}
+        self._timers: Dict[str, SketchState] = {}
+        self._histograms: Dict[str, SketchState] = {}
         self._span_count = 0
         if not origin:
-            self._rebase()
-
-    def _rebase(self) -> None:
-        registry = self.registry
-        self._counters = {n: (c.count, c.total)
-                         for n, c in registry._counters.items()}
-        self._gauges = {n: g.value for n, g in registry._gauges.items()}
-        self._timer_counts = {n: len(t.samples)
-                              for n, t in registry._timers.items()}
-        self._hist_counts = {n: list(h._bucket_counts)
-                             for n, h in registry._histograms.items()}
-        self._hist_totals = {n: h.total
-                             for n, h in registry._histograms.items()}
-        if self.tracer is not None:
-            self._span_count = len(
-                getattr(self.tracer, "finished_spans", ())
-            )
+            self._span_count = len(getattr(tracer, "finished_spans", ()))
+            self.capture()
 
     def capture(self) -> TelemetryDelta:
         """The increment since the last capture (or the baseline)."""
         registry = self.registry
         delta = TelemetryDelta()
-        for name, counter in registry._counters.items():
-            seen_count, seen_total = self._counters.get(name, (0, 0.0))
-            if counter.count != seen_count or counter.total != seen_total:
-                delta.counters[name] = (counter.count - seen_count,
-                                        counter.total - seen_total)
-        for name, gauge in registry._gauges.items():
+        for name, counter in registry._counters.copy().items():
+            now = (counter.count, counter.total)
+            seen = self._counters.get(name, (0, 0.0))
+            if now != seen:
+                delta.counters[name] = (now[0] - seen[0], now[1] - seen[1])
+                self._counters[name] = now
+        for name, gauge in registry._gauges.copy().items():
             if gauge.value != self._gauges.get(name, 0.0):
-                delta.gauges[name] = gauge.value
-        for name, timer in registry._timers.items():
-            seen = self._timer_counts.get(name, 0)
-            if len(timer.samples) > seen:
-                delta.timers[name] = list(timer.samples[seen:])
-        for name, hist in registry._histograms.items():
-            seen_buckets = self._hist_counts.get(
-                name, [0] * len(hist._bucket_counts)
-            )
-            if hist._bucket_counts != seen_buckets:
-                delta.histograms[name] = {
-                    "bounds": list(hist.bounds),
-                    "counts": [now - then for now, then
-                               in zip(hist._bucket_counts, seen_buckets)],
-                    "count": sum(hist._bucket_counts) - sum(seen_buckets),
-                    "total": hist.total - self._hist_totals.get(name, 0.0),
-                }
+                delta.gauges[name] = self._gauges[name] = gauge.value
+        _sketch_deltas(registry._timers, self._timers, delta.timers)
+        _sketch_deltas(registry._histograms, self._histograms,
+                       delta.histograms)
         if self.tracer is not None:
             finished = getattr(self.tracer, "finished_spans", ())
-            if len(finished) > self._span_count:
+            count = len(finished)
+            if count > self._span_count:
                 delta.spans = [span.to_dict()
-                               for span in finished[self._span_count:]]
-        self._rebase()
+                               for span in finished[self._span_count:count]]
+                self._span_count = count
         return delta
 
 
@@ -138,9 +143,9 @@ def merge_delta(registry: MetricsRegistry, delta: TelemetryDelta,
 
     ``prefix`` is typically ``worker.w0`` or ``shard.accounts``; every
     merged metric lands at ``<prefix>.<name>``.  Counter counts/totals
-    add, timer samples extend (percentiles stay exact), histogram
-    buckets add bucket-wise, gauges take the worker's latest value, and
-    spans surface as one ``<prefix>.span.<name>`` timer sample each.
+    add, timer and histogram sketches add bucket-wise, gauges take the
+    worker's latest value, and spans surface as one
+    ``<prefix>.span.<name>`` timer sample each.
     """
     label = f"{prefix}." if prefix and not prefix.endswith(".") else prefix
     for name, (count, total) in delta.counters.items():
@@ -149,17 +154,10 @@ def merge_delta(registry: MetricsRegistry, delta: TelemetryDelta,
         counter.total += total
     for name, value in delta.gauges.items():
         registry.gauge(label + name).set(value)
-    for name, samples in delta.timers.items():
-        timer = registry.timer(label + name)
-        for sample in samples:
-            timer.record(sample)
-    for name, hist_delta in delta.histograms.items():
-        hist = registry.histogram(label + name,
-                                  buckets=hist_delta["bounds"])
-        for index, count in enumerate(hist_delta["counts"]):
-            hist._bucket_counts[index] += count
-        hist.count += hist_delta["count"]
-        hist.total += hist_delta["total"]
+    for name, state in delta.timers.items():
+        registry.timer(label + name).merge(*state)
+    for name, state in delta.histograms.items():
+        registry.histogram(label + name).merge(*state)
     for span in delta.spans:
         name = span.get("name") or "span"
         duration = span.get("duration") or 0.0

@@ -16,6 +16,10 @@ history:
 * 2 — a ``gauges`` section, ``p99`` on every timer, and non-finite
   values serialized as the strings ``"NaN"`` / ``"+Inf"`` / ``"-Inf"``
   (strict JSON has no literal for any of them).
+* 3 — ``histograms`` entries carry the timer keys (n, mean, total,
+  p50, p95, p99, max) in place of ``count`` / ``total`` / ``buckets``:
+  both families are the same log-linear sketch, whose quantiles are
+  within 1 % of the nearest-rank sample quantile.
 """
 
 import json
@@ -25,11 +29,11 @@ from typing import Optional
 
 from repro.common.metrics import MetricsRegistry
 
-METRICS_SCHEMA_VERSION = 2
+METRICS_SCHEMA_VERSION = 3
 
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: Timer summary fields exported to JSON, in schema order.
+#: Sketch summary fields exported to JSON, in schema order.
 _TIMER_KEYS = ("n", "mean", "total", "p50", "p95", "p99", "max")
 
 #: ``quantile`` label → snapshot key for the Prometheus summary rows.
@@ -85,9 +89,8 @@ def to_prometheus(registry: MetricsRegistry,
     """Render the registry in the Prometheus text exposition format.
 
     Counters become ``<name>_total``; gauges keep their name; timers
-    become summaries with ``quantile`` labels plus ``_sum``/``_count``;
-    histograms become classic cumulative ``_bucket`` series with ``le``
-    labels.
+    (as ``<name>_seconds``) and histograms (unitless, as ``<name>``)
+    become summaries with ``quantile`` labels plus ``_sum``/``_count``.
     """
     snapshot = registry.snapshot()
     lines = []
@@ -105,28 +108,16 @@ def to_prometheus(registry: MetricsRegistry,
         types.declare(metric, "gauge")
         lines.append(f"{metric} {_prom_value(gauge['value'])}")
 
-    for name in sorted(snapshot["timers"]):
-        timer = snapshot["timers"][name]
-        metric = _prom_name(name, namespace) + "_seconds"
-        types.declare(metric, "summary")
-        for label, key in _SUMMARY_QUANTILES:
-            lines.append(
-                f'{metric}{{quantile="{label}"}} {_prom_value(timer[key])}'
-            )
-        lines.append(f"{metric}_sum {_prom_value(timer['total'])}")
-        lines.append(f"{metric}_count {_prom_value(timer['n'])}")
-
-    for name in sorted(snapshot["histograms"]):
-        histogram = snapshot["histograms"][name]
-        metric = _prom_name(name, namespace)
-        types.declare(metric, "histogram")
-        for bucket in histogram["buckets"]:
-            lines.append(
-                f'{metric}_bucket{{le="{_prom_value(bucket["le"])}"}} '
-                f'{_prom_value(bucket["count"])}'
-            )
-        lines.append(f"{metric}_sum {_prom_value(histogram['total'])}")
-        lines.append(f"{metric}_count {_prom_value(histogram['count'])}")
+    for section, suffix in (("timers", "_seconds"), ("histograms", "")):
+        for name in sorted(snapshot[section]):
+            sketch = snapshot[section][name]
+            metric = _prom_name(name, namespace) + suffix
+            types.declare(metric, "summary")
+            for label, key in _SUMMARY_QUANTILES:
+                lines.append(f'{metric}{{quantile="{label}"}} '
+                             f'{_prom_value(sketch[key])}')
+            lines.append(f"{metric}_sum {_prom_value(sketch['total'])}")
+            lines.append(f"{metric}_count {_prom_value(sketch['n'])}")
 
     return "\n".join(lines) + "\n"
 
@@ -136,16 +127,15 @@ def metrics_to_json(registry: MetricsRegistry) -> dict:
 
     Layout::
 
-        {"schema_version": 2,
+        {"schema_version": 3,
          "counters":   {name: {"count": int, "total": float}},
          "gauges":     {name: {"value": float}},
          "timers":     {name: {"n", "mean", "total",
                                "p50", "p95", "p99", "max"}},
-         "histograms": {name: {"count", "total", "buckets": [...]}}}
+         "histograms": {name: <the timer keys>}}
 
-    Names are sorted; ``+inf`` bucket bounds and any non-finite value
-    serialize as the strings ``"+Inf"`` / ``"-Inf"`` / ``"NaN"`` (JSON
-    has no literals for them).
+    Names are sorted; any non-finite value serializes as the strings
+    ``"+Inf"`` / ``"-Inf"`` / ``"NaN"`` (JSON has no literals for them).
     """
     snapshot = registry.snapshot()
     counters = {
@@ -156,22 +146,11 @@ def metrics_to_json(registry: MetricsRegistry) -> dict:
         name: {"value": _json_safe(g["value"])}
         for name, g in snapshot.get("gauges", {}).items()
     }
-    timers = {
-        name: {key: _json_safe(t[key]) for key in _TIMER_KEYS}
-        for name, t in snapshot["timers"].items()
-    }
-    histograms = {
-        name: {
-            "count": h["count"],
-            "total": _json_safe(h["total"]),
-            "buckets": [
-                {"le": ("+Inf" if math.isinf(b["le"]) else b["le"]),
-                 "count": b["count"]}
-                for b in h["buckets"]
-            ],
-        }
-        for name, h in snapshot["histograms"].items()
-    }
+    timers, histograms = (
+        {name: {key: _json_safe(t[key]) for key in _TIMER_KEYS}
+         for name, t in snapshot[section].items()}
+        for section in ("timers", "histograms")
+    )
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "counters": counters,

@@ -92,9 +92,7 @@ class BatchingScheduler:
             "server.batched_updates")
         self._tmr_batch = self.metrics.timer("server.batch")
         self._tmr_wait = self.metrics.timer("server.batch_wait")
-        self._hist_batch_size = self.metrics.histogram(
-            "server.batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128,
-                                          256, 512, 1024))
+        self._hist_batch_size = self.metrics.histogram("server.batch_size")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -225,7 +223,7 @@ class BatchingScheduler:
         self._tmr_batch.record(elapsed)
         self._ctr_batches.add()
         self._ctr_batched_updates.add(len(updates))
-        self._hist_batch_size.observe(len(updates))
+        self._hist_batch_size.record(len(updates))
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.event(
                 "server.batch",

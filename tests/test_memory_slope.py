@@ -11,14 +11,13 @@ set-up and warm-up cancel — and an object-graph walk checks that none
 of the three stores keeps a ``dict`` per update besides the row itself.
 
 Budgets are this tree's measurement + 15 %.  The parent commit
-(d1678bc: one retained ``UpdateResult`` per decision — the record, its
-outcome, the ``Update`` with payload, producers and signature, a
-timings tuple) read, with the same code:
+(1ca4d5e: every ``Timer`` kept each recorded duration in a list, about
+six samples per decided update) read, with the same code:
 
     shape                         parent    this tree   budget
-    plaintext, row predicate       1,570      1,040      1,200
-    3 replicas, LocalDriver        3,593      2,896      3,330
-    Paillier, signed updates       2,082      1,128      1,300   (B/update)
+    plaintext, row predicate       1,040        915      1,055
+    3 replicas, LocalDriver        2,896      2,540      2,935
+    Paillier, signed updates       1,128      1,025      1,185   (B/update)
 
 Print the current readings with ``PYTHONPATH=src python
 tests/test_memory_slope.py``.
@@ -50,8 +49,8 @@ from repro.model.participants import DataProducer
 from repro.model.update import Update, UpdateOperation
 from repro.parallel.executors import SERIAL_EXECUTOR
 
-BUDGET_BYTES_PER_UPDATE = {"plain": 1200, "replicated": 3330,
-                           "paillier": 1300}
+BUDGET_BYTES_PER_UPDATE = {"plain": 1055, "replicated": 2935,
+                           "paillier": 1185}
 CHUNK = 32
 
 

@@ -4,8 +4,8 @@ The acceptance bar: a sharded run and a parallel-executor run must
 both surface shard-side / worker-side counters and spans in the
 coordinator's merged ``/metrics`` — no telemetry black holes.  Plus
 the delta/merge unit semantics those paths rely on: incremental
-captures never double-count, merged timer samples keep percentiles
-exact, and merges land under stable per-worker labels.
+captures never double-count, merged timer sketches add bucket-wise,
+and merges land under stable per-worker labels.
 """
 
 import pytest
@@ -31,20 +31,25 @@ def test_delta_capture_is_incremental():
     registry.counter("c").add(2.5)
     registry.timer("t").record(0.5)
     registry.gauge("g").set(7)
-    registry.histogram("h", buckets=[1.0]).observe(0.25)
+    registry.histogram("h").record(0.25)
     first = tracker.capture()
     assert first.counters["c"] == (1, 2.5)
-    assert first.timers["t"] == [0.5]
+    assert first.timers["t"] == registry.timer("t").state()
+    assert first.timers["t"][:4] == (1, 0.5, 0.5, 0.5)
     assert first.gauges["g"] == 7.0
-    assert first.histograms["h"]["count"] == 1
-    assert first.histograms["h"]["total"] == 0.25
+    assert first.histograms["h"][:2] == (1, 0.25)
     # Nothing new since -> empty delta (no double counting).
     assert tracker.capture().empty()
     registry.counter("c").add()
+    registry.timer("t").record(0.5)
     registry.timer("t").record(1.5)
     second = tracker.capture()
     assert second.counters["c"] == (1, 1.0)
-    assert second.timers["t"] == [1.5]  # only the new sample ships
+    # Only the new samples ship: their count, sum and bucket increments.
+    count, total, low, high, buckets = second.timers["t"]
+    assert (count, total, low, high) == (2, 2.0, 0.5, 1.5)
+    assert sorted(buckets.values()) == [1, 1]
+    assert sum(registry.timer("t").buckets.values()) == 3
 
 
 def test_origin_tracker_ships_full_history_first():
@@ -82,13 +87,18 @@ def test_delta_pickles():
 
 
 def test_merge_delta_labels_and_accumulates():
+    source = MetricsRegistry()
+    for value in (0.1, 0.3):
+        source.timer("verify").record(value)
+    source.histogram("lat").record(0.2)
+    source.histogram("lat").record(0.2)
+    sketches = DeltaTracker(source, origin=True).capture()
     coordinator = MetricsRegistry()
     delta = TelemetryDelta(
         counters={"crypto.ops": (4, 4.0)},
         gauges={"depth": 2.0},
-        timers={"verify": [0.1, 0.3]},
-        histograms={"lat": {"bounds": [1.0], "counts": [2, 0],
-                            "count": 2, "total": 0.4}},
+        timers=sketches.timers,
+        histograms=sketches.histograms,
         spans=[{"name": "parallel.chunk", "duration": 0.05}],
     )
     merge_delta(coordinator, delta, prefix="worker.w0")
@@ -96,11 +106,17 @@ def test_merge_delta_labels_and_accumulates():
     assert coordinator.counter_value("worker.w0.crypto.ops") == 8
     assert coordinator.gauge_value("worker.w0.depth") == 2.0
     timer = coordinator.timer("worker.w0.verify")
-    assert timer.samples == [0.1, 0.3, 0.1, 0.3]  # percentiles stay exact
+    assert (timer.count, timer.min, timer.max) == (4, 0.1, 0.3)
+    assert timer.total == pytest.approx(0.8)
+    assert timer.percentile(50) == pytest.approx(0.1, rel=0.01)
+    assert {k: 2 * n for k, n in source.timer("verify").buckets.items()} \
+        == timer.buckets
     hist = coordinator.histogram("worker.w0.lat")
     assert hist.count == 4 and hist.total == pytest.approx(0.8)
+    assert "worker.w0.lat" not in coordinator.snapshot()["timers"]
     span_timer = coordinator.timer("worker.w0.span.parallel.chunk")
-    assert span_timer.samples == [0.05, 0.05]
+    assert (span_timer.count, span_timer.min, span_timer.max) == (2, 0.05, 0.05)
+    assert span_timer.percentile(99) == 0.05
 
 
 # -- parallel-executor runs surface worker telemetry ------------------------

@@ -2,7 +2,9 @@
 
 import json
 
-from repro.common.metrics import Histogram, MetricsRegistry
+import pytest
+
+from repro.common.metrics import MetricsRegistry, Timer, nearest_rank
 from repro.obs.events import EventLog
 from repro.obs.export import (
     METRICS_SCHEMA_VERSION,
@@ -50,27 +52,22 @@ def test_event_log_jsonl_is_one_object_per_line():
     assert all(json.loads(line)["kind"] == "tick" for line in lines)
 
 
-# -- histograms -----------------------------------------------------------
-
-
-def test_histogram_cumulative_buckets():
-    histogram = Histogram("latency", buckets=[0.1, 1.0])
-    for value in (0.05, 0.5, 0.7, 5.0):
-        histogram.observe(value)
-    assert histogram.count == 4
-    assert histogram.total == 6.25
-    assert histogram.cumulative_buckets() == [
-        (0.1, 1), (1.0, 3), (float("inf"), 4),
-    ]
+# -- histograms (the unitless timer family) -------------------------------
 
 
 def test_histogram_via_registry_and_snapshot():
     metrics = MetricsRegistry()
-    metrics.histogram("h", buckets=[1.0]).observe(0.5)
-    assert metrics.histogram("h") is metrics.histogram("h")
+    histogram = metrics.histogram("h")
+    assert metrics.histogram("h") is histogram
+    assert type(histogram) is Timer  # one distribution type
+    for value in (0.05, 0.5, 0.7, 5.0):
+        histogram.record(value)
+    assert histogram.count == 4
+    assert histogram.total == 6.25
     snap = metrics.snapshot()
-    assert snap["histograms"]["h"]["count"] == 1
-    assert snap["histograms"]["h"]["buckets"][-1]["le"] == float("inf")
+    assert snap["histograms"]["h"]["n"] == 4
+    assert snap["histograms"]["h"]["max"] == 5.0
+    assert "h" not in snap["timers"]
 
 
 def test_counter_value_reads_without_creating():
@@ -86,13 +83,16 @@ def test_counter_value_reads_without_creating():
 
 def test_percentile_nearest_rank_regression():
     timer = MetricsRegistry().timer("t")
-    for value in (1.0, 2.0, 3.0, 4.0):
+    samples = (1.0, 2.0, 3.0, 4.0)
+    for value in samples:
         timer.record(value)
-    assert timer.percentile(50) == 2.0  # was 3.0 before the fix
-    assert timer.percentile(25) == 1.0
-    assert timer.percentile(75) == 3.0
+    assert timer.percentile(50) == pytest.approx(2.0, rel=0.01)  # not 3.0
+    for pct in (25, 50, 75):
+        assert timer.percentile(pct) == pytest.approx(
+            nearest_rank(samples, pct), rel=0.01)
     assert timer.percentile(100) == 4.0
     assert timer.percentile(0) == 1.0
+    assert (timer.count, timer.total, timer.min, timer.max) == (4, 10.0, 1.0, 4.0)
 
 
 def test_snapshot_keys_are_sorted():
@@ -100,7 +100,7 @@ def test_snapshot_keys_are_sorted():
     for name in ("zulu", "alpha", "mike"):
         metrics.counter(name).add()
         metrics.timer(name).record(0.1)
-        metrics.histogram(name).observe(0.1)
+        metrics.histogram(name).record(0.1)
     snap = metrics.snapshot()
     for section in ("counters", "timers", "histograms"):
         assert list(snap[section]) == ["alpha", "mike", "zulu"]
@@ -125,18 +125,21 @@ def populated_registry():
     metrics.counter("net.messages").add()
     metrics.counter("net.messages").add()
     metrics.timer("pipeline.stage.verify").record(0.25)
-    metrics.histogram("hop.latency", buckets=[0.1, 1.0]).observe(0.5)
+    metrics.histogram("batch.size").record(8)
     return metrics
 
 
 def test_metrics_to_json_schema():
     doc = metrics_to_json(populated_registry())
-    assert doc["schema_version"] == METRICS_SCHEMA_VERSION == 2
+    assert doc["schema_version"] == METRICS_SCHEMA_VERSION == 3
     assert doc["counters"]["net.messages"]["count"] == 2
     timer = doc["timers"]["pipeline.stage.verify"]
     assert set(timer) == {"n", "mean", "total", "p50", "p95", "p99", "max"}
-    buckets = doc["histograms"]["hop.latency"]["buckets"]
-    assert buckets[-1] == {"le": "+Inf", "count": 1}
+    # Schema v3: histograms carry the timer keys, not le buckets.
+    assert doc["histograms"]["batch.size"] == {
+        "n": 1, "mean": 8.0, "total": 8.0,
+        "p50": 8.0, "p95": 8.0, "p99": 8.0, "max": 8.0,
+    }
     assert "gauges" in doc  # new in schema v2 (empty here)
     # The document must be JSON-serializable as-is (no inf, no bytes).
     json.dumps(doc)
@@ -164,9 +167,12 @@ def test_prometheus_exposition_format():
     assert "# TYPE repro_pipeline_stage_verify_seconds summary" in text
     assert 'repro_pipeline_stage_verify_seconds{quantile="0.5"} 0.25' in text
     assert "repro_pipeline_stage_verify_seconds_count 1.0" in text
-    assert "# TYPE repro_hop_latency histogram" in text
-    assert 'repro_hop_latency_bucket{le="1.0"} 1.0' in text
-    assert 'repro_hop_latency_bucket{le="+Inf"} 1.0' in text
+    # Histograms are unitless summaries: no _seconds, no _bucket rows.
+    assert "# TYPE repro_batch_size summary" in text
+    assert 'repro_batch_size{quantile="0.99"} 8.0' in text
+    assert "repro_batch_size_sum 8.0" in text
+    assert "repro_batch_size_count 1.0" in text
+    assert "_bucket" not in text and "histogram" not in text
     assert text.endswith("\n")
 
 
@@ -177,7 +183,7 @@ def test_prometheus_namespace_and_sanitization():
     assert "weird_name_with_bits_total 1.0" in text
 
 
-# -- exporter edge cases (schema v2) --------------------------------------
+# -- exporter edge cases (schema v2 and later) ----------------------------
 
 
 def test_prometheus_p99_quantile_row():
@@ -186,8 +192,14 @@ def test_prometheus_p99_quantile_row():
     for i in range(100):
         timer.record(float(i + 1))
     text = to_prometheus(metrics)
-    assert 'repro_stage_seconds{quantile="0.99"} 99.0' in text
-    assert 'repro_stage_seconds{quantile="0.5"} 50.0' in text
+    rows = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                if not line.startswith("#"))
+    assert float(rows['repro_stage_seconds{quantile="0.99"}']) \
+        == pytest.approx(99.0, rel=0.01)
+    assert float(rows['repro_stage_seconds{quantile="0.5"}']) \
+        == pytest.approx(50.0, rel=0.01)
+    assert rows["repro_stage_seconds_count"] == "100.0"
+    assert rows["repro_stage_seconds_sum"] == "5050.0"
 
 
 def test_prometheus_gauge_section():

@@ -3,7 +3,7 @@
 The load-bearing guarantees pinned here:
 
 * ``/metrics`` and ``/metrics.json`` serve the framework's registry
-  over real HTTP (schema v2, Prometheus content type);
+  over real HTTP (schema v3, Prometheus content type);
 * ``/healthz`` is 200 on a healthy framework and flips to 503 when the
   WAL is torn down underneath it (injected failure);
 * ``/readyz`` additionally detects a live ledger that no longer
