@@ -529,18 +529,17 @@ class PReVer:
         ``examples/telemetry_demo.py`` for the client-side
         re-verification.
         """
-        # Entries hold bytes: search those, and decode only an entry
-        # whose leaf carries the stamp at all.
+        # Search the packed leaf bytes, and build and decode only an
+        # entry whose leaf carries the stamp at all.
         needle = b'"trace_id":' + canonical_bytes(trace_id)
-        entry = payload = None
-        for candidate in self.ledger.entries():
-            if needle in candidate.leaf_bytes():
-                payload = candidate.payload
-                if (isinstance(payload, dict)
-                        and payload.get("trace_id") == trace_id):
-                    entry = candidate
-                    break
-        if entry is None:
+        sequence = self.ledger.find(needle)
+        while sequence is not None:
+            entry = self.ledger.entry(sequence)
+            payload = entry.payload
+            if isinstance(payload, dict) and payload.get("trace_id") == trace_id:
+                break
+            sequence = self.ledger.find(needle, since=sequence + 1)
+        else:
             return None
         digest = self._last_anchored_digest
         if digest is None or digest.size <= entry.sequence:

@@ -3,8 +3,9 @@
 Every engine implements ``verify(update, now) -> VerificationOutcome``
 and declares a leakage profile.  Engines hold their own view of the
 data (ciphertexts, commitments, sealed rows, noisy histograms) and a
-``manager_transcript`` list recording exactly what the untrusted
-manager observed, which the leakage tests compare against the profile.
+``manager_transcript`` recording the most recent
+:data:`TRANSCRIPT_WINDOW` observations of the untrusted manager, which
+the leakage tests compare against the profile.
 
 Engines and their paper anchors:
 
@@ -22,6 +23,7 @@ Engines and their paper anchors:
   trading accuracy for budget.
 """
 
+from collections import deque
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,6 +51,10 @@ from repro.privacy.dp import DPIndex
 from repro.privacy.enclave import TrustedEnclaveSimulator
 
 
+# Observations a ``manager_transcript`` keeps (the newest): a fixed cost.
+TRANSCRIPT_WINDOW = 1024
+
+
 class EngineError(PReVerError):
     """A verification engine failed or was misconfigured."""
 
@@ -63,7 +69,7 @@ class BaseVerifier:
                  metrics: Optional[MetricsRegistry] = None):
         self.constraints = list(constraints)
         self.metrics = metrics or MetricsRegistry()
-        self.manager_transcript: List = []
+        self.manager_transcript: deque = deque(maxlen=TRANSCRIPT_WINDOW)
         self._router = ConstraintRouter(self.constraints)
         # One tuple for the engine's lifetime: every outcome points at
         # it (immutable, so the sharing aliases nothing).

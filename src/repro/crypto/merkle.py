@@ -73,24 +73,6 @@ class MerkleTree:
     def __init__(self, leaves: Sequence[bytes] = ()):  # raw leaf *data*
         self._leaf_hashes: List[bytes] = [leaf_hash(data) for data in leaves]
 
-    @classmethod
-    def from_leaf_hashes(cls, hashes: Sequence[bytes]) -> "MerkleTree":
-        """Rebuild a tree from previously computed leaf hashes.
-
-        Used by the durability layer to restore a ledger tree from a
-        snapshot without rehashing every entry.  The caller is expected
-        to verify the resulting :meth:`root` against an independently
-        anchored digest (snapshots store one) — the hashes themselves
-        are trusted only up to that check.
-        """
-        tree = cls()
-        tree._leaf_hashes = list(hashes)
-        return tree
-
-    def leaf_hashes(self) -> List[bytes]:
-        """The leaf-hash vector, in append order (a defensive copy)."""
-        return list(self._leaf_hashes)
-
     def __len__(self) -> int:
         return len(self._leaf_hashes)
 

@@ -3,7 +3,7 @@
 Recovery restores the state as of the *last durable anchor marker*:
 
 1. load the newest valid snapshot (if any) into the freshly built
-   framework — tables, ledger Merkle frontier, engine aggregates,
+   framework — tables, ledger entries, engine aggregates,
    counters, decision index;
 2. replay WAL records after the snapshot LSN.  ``update`` records are
    staged; an ``anchor`` record commits its batch — staged updates the

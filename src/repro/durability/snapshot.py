@@ -1,7 +1,7 @@
 """Checkpointing: atomic snapshots of the full framework state.
 
 A snapshot captures, at a WAL position ``lsn``: every database table's
-rows, the ledger's entries + Merkle leaf-hash frontier + root, the
+rows, the ledger's entries + root, the
 engine's durable aggregate state (ciphertext values for Paillier —
 never decrypted plaintext), and the pipeline counters with the index
 of which ledger entries are decisions.  Recovery loads
@@ -29,7 +29,9 @@ from repro.common.serialization import (
 from repro.crypto.hashing import digest_canonical
 from repro.obs.tracing import NOOP_TRACER
 
-SNAPSHOT_VERSION = 1
+# Version 1 also stored the ledger's leaf hashes; restore ignores them
+# and rehashes the entries, so a version-1 file still loads.
+SNAPSHOT_VERSION = 2
 
 
 def _snapshot_name(lsn: int) -> str:
@@ -181,7 +183,7 @@ class Snapshotter:
             return None
         if digest_canonical(body) != digest:
             return None
-        if body.get("version") != SNAPSHOT_VERSION:
+        if body.get("version") not in (1, SNAPSHOT_VERSION):
             return None
         return body
 

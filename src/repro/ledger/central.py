@@ -13,12 +13,15 @@ its local journal, but any participant holding an old digest will catch
 it (see :mod:`repro.ledger.audit` and the tamper tests).
 """
 
+from array import array
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate
 from typing import Any, List, Optional, Sequence
 
-from repro.common.encoding import RawJson, encode_canonical_bytes
+from repro.common.encoding import RawJson, encode_canonical
 from repro.common.errors import IntegrityError
-from repro.common.serialization import canonical_json, from_canonical_json
+from repro.common.serialization import from_canonical_json
 from repro.crypto.merkle import (
     ConsistencyProof,
     InclusionProof,
@@ -28,20 +31,34 @@ from repro.crypto.merkle import (
 )
 from repro.obs.tracing import NOOP_TRACER
 
-# Canonical JSON sorts keys, so every leaf is
+# Canonical JSON sorts keys and is ASCII, so every leaf is
 # ``{"payload":<fragment>,"sequence":<n>}`` and the payload's own
-# canonical encoding can be sliced back out without parsing.
+# canonical encoding can be spliced in, or sliced back out, without
+# parsing.
 _LEAF_PREFIX = b'{"payload":'
+
+
+def _leaf_bytes(sequence: int, encoded_payload: str) -> bytes:
+    """The canonical leaf for ``encoded_payload`` (the payload's
+    canonical JSON) at ``sequence`` — byte-identical to encoding
+    ``{"sequence": sequence, "payload": payload}``."""
+    return b'%s%s,"sequence":%d}' % (
+        _LEAF_PREFIX, encoded_payload.encode("utf-8"), sequence)
+
+
+def _suffix_len(sequence: int) -> int:
+    return len(b',"sequence":%d}' % sequence)
 
 
 class LedgerEntry:
     """One journal entry: a sequence number plus an opaque payload.
 
     The entry holds exactly what the Merkle tree hashed — its canonical
-    leaf bytes — and nothing else: no payload object, no memo.  It is
-    immutable (assignment raises :class:`~dataclasses.FrozenInstanceError`)
-    and compares, hashes and prints by ``(sequence, payload)``, which
-    the leaf bytes determine.
+    leaf bytes — and nothing else: no payload object, no memo.  The
+    ledger builds one on read, as a view over its packed leaf buffer,
+    and keeps none.  An entry is immutable (assignment raises
+    :class:`~dataclasses.FrozenInstanceError`) and compares, hashes and
+    prints by ``(sequence, payload)``, which the leaf bytes determine.
     """
 
     __slots__ = ("sequence", "_leaf")
@@ -49,9 +66,7 @@ class LedgerEntry:
     def __init__(self, sequence: int, payload: Any):
         _set = object.__setattr__
         _set(self, "sequence", sequence)
-        _set(self, "_leaf", encode_canonical_bytes(
-            {"sequence": sequence, "payload": payload}
-        ))
+        _set(self, "_leaf", _leaf_bytes(sequence, encode_canonical(payload)))
 
     @classmethod
     def with_encoded_payload(cls, sequence: int,
@@ -60,7 +75,15 @@ class LedgerEntry:
         (``encoded_payload`` must be ``canonical_json(payload)``); the
         leaf bytes splice the fragment instead of re-encoding, and the
         result is byte-identical to the re-encoding path."""
-        return cls(sequence, RawJson(encoded_payload))
+        return cls._from_leaf(sequence, _leaf_bytes(sequence, encoded_payload))
+
+    @classmethod
+    def _from_leaf(cls, sequence: int, leaf: bytes) -> "LedgerEntry":
+        """An entry over leaf bytes the ledger already holds."""
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "sequence", sequence)
+        object.__setattr__(entry, "_leaf", leaf)
+        return entry
 
     @property
     def payload(self) -> Any:
@@ -74,8 +97,8 @@ class LedgerEntry:
         """The payload's canonical JSON, sliced out of the leaf bytes
         (splice it with :class:`~repro.common.encoding.RawJson`
         instead of decoding and re-encoding)."""
-        suffix = len(b',"sequence":%d}' % self.sequence)
-        return self._leaf[len(_LEAF_PREFIX):-suffix].decode("utf-8")
+        return self._leaf[len(_LEAF_PREFIX):-_suffix_len(self.sequence)
+                          ].decode("utf-8")
 
     def leaf_bytes(self) -> bytes:
         """Canonical bytes hashed into the Merkle tree for this entry."""
@@ -120,13 +143,22 @@ class LedgerDigest:
 
 
 class CentralLedger:
-    """Append-only journal with Merkle anchoring."""
+    """Append-only journal with Merkle anchoring: every leaf back to
+    back in one ``bytearray``, its end offset in an ``array('q')``, and
+    :class:`LedgerEntry` views built on read.  The one writer fills the
+    buffer, the tree, then the offsets readers size themselves by, and
+    no view of the buffer escapes, so readers on other threads see
+    whole entries and the buffer can always grow."""
 
     def __init__(self, name: str = "ledger", tracer=None):
         self.name = name
-        self._entries: List[LedgerEntry] = []
-        self._tree = MerkleTree()
         self._tracer = tracer or NOOP_TRACER
+        self._clear()
+
+    def _clear(self) -> None:
+        self._leaves = bytearray()
+        self._ends = array("q")
+        self._tree = MerkleTree()
 
     def bind_tracer(self, tracer) -> None:
         """Attach a tracer after construction (the framework does this
@@ -134,7 +166,17 @@ class CentralLedger:
         self._tracer = tracer
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ends)
+
+    def _store(self, leaves: List[bytes]) -> None:
+        base = self._ends[-1] if self._ends else 0
+        self._leaves += b"".join(leaves)
+        self._tree.extend(leaves)
+        self._ends.extend(array("q", accumulate(map(len, leaves), initial=base))[1:])
+
+    def _leaf(self, sequence: int) -> bytes:
+        start = self._ends[sequence - 1] if sequence else 0
+        return bytes(self._leaves[start:self._ends[sequence]])
 
     def append(self, payload: Any,
                encoded_payload: Optional[str] = None) -> LedgerEntry:
@@ -146,14 +188,12 @@ class CentralLedger:
         re-encoding (the anchor stage shares one encoding between the
         Merkle leaf and the WAL anchor frame).
         """
-        sequence = len(self._entries)
+        sequence = len(self)
         if encoded_payload is None:
-            entry = LedgerEntry(sequence, payload)
-        else:
-            entry = LedgerEntry.with_encoded_payload(sequence, encoded_payload)
-        self._entries.append(entry)
-        self._tree.append(entry.leaf_bytes())
-        return entry
+            encoded_payload = encode_canonical(payload)
+        leaf = _leaf_bytes(sequence, encoded_payload)
+        self._store([leaf])
+        return LedgerEntry._from_leaf(sequence, leaf)
 
     def append_batch(self, payloads: Sequence[Any],
                      encoded_payloads: Optional[Sequence[str]] = None,
@@ -171,46 +211,56 @@ class CentralLedger:
         way the ledger keeps the leaf bytes and drops the payload
         objects.
         """
-        start = len(self._entries)
         if encoded_payloads is None:
-            entries = [
-                LedgerEntry(start + offset, payload)
-                for offset, payload in enumerate(payloads)
-            ]
-        else:
-            if len(encoded_payloads) != len(payloads):
-                raise IntegrityError(
-                    "encoded_payloads must parallel payloads"
-                )
-            entries = [
-                LedgerEntry.with_encoded_payload(start + offset, encoded)
-                for offset, encoded in enumerate(encoded_payloads)
-            ]
-        self._entries.extend(entries)
-        leaf_data = [entry.leaf_bytes() for entry in entries]
+            encoded_payloads = [encode_canonical(p) for p in payloads]
+        elif len(encoded_payloads) != len(payloads):
+            raise IntegrityError("encoded_payloads must parallel payloads")
+        start = len(self)
+        leaves = [_leaf_bytes(start + offset, encoded)
+                  for offset, encoded in enumerate(encoded_payloads)]
         if self._tracer.enabled:
             with self._tracer.span("merkle.extend", ledger=self.name,
-                                   leaves=len(entries), start=start):
-                self._tree.extend(leaf_data)
+                                   leaves=len(leaves), start=start):
+                self._store(leaves)
         else:
-            self._tree.extend(leaf_data)
-        return entries
+            self._store(leaves)
+        return [LedgerEntry._from_leaf(start + offset, leaf)
+                for offset, leaf in enumerate(leaves)]
 
     def entry(self, sequence: int) -> LedgerEntry:
         """The entry at ``sequence``; :class:`IntegrityError` if absent."""
-        try:
-            return self._entries[sequence]
-        except IndexError:
-            raise IntegrityError(f"no entry {sequence} in {self.name!r}") from None
+        if not 0 <= sequence < len(self):
+            raise IntegrityError(f"no entry {sequence} in {self.name!r}")
+        return LedgerEntry._from_leaf(sequence, self._leaf(sequence))
 
     def entries(self, since: int = 0) -> List[LedgerEntry]:
-        """All entries from sequence ``since`` onward (a shallow copy).
-        Entries hold bytes: each ``entry.payload`` read is a decode."""
-        return list(self._entries[since:])
+        """All entries from sequence ``since`` onward, each built on
+        read.  Entries hold bytes: each ``entry.payload`` read is a
+        decode."""
+        return [LedgerEntry._from_leaf(sequence, self._leaf(sequence))
+                for sequence in range(max(since, 0), len(self))]
+
+    def find(self, needle: bytes, since: int = 0) -> Optional[int]:
+        """The first sequence at or after ``since`` whose leaf bytes
+        contain ``needle``, or None: one search over the packed leaves,
+        no entry built (a match straddling two leaves is no match)."""
+        ends = self._ends
+        size = len(ends)
+        if not 0 <= since < size:
+            return None
+        at = ends[since - 1] if since else 0
+        while True:
+            at = self._leaves.find(needle, at, ends[size - 1])
+            if at < 0:
+                return None
+            sequence = bisect_right(ends, at, since, size)
+            if at + len(needle) <= ends[sequence]:
+                return sequence
+            at = ends[sequence]
 
     def digest(self, size: Optional[int] = None) -> LedgerDigest:
         """The commitment to the first ``size`` entries (default: all)."""
-        size = len(self._entries) if size is None else size
+        size = len(self) if size is None else size
         return LedgerDigest(size=size, root=self._tree.root(size))
 
     def prove_inclusion(self, sequence: int, size: Optional[int] = None) -> InclusionProof:
@@ -246,99 +296,58 @@ class CentralLedger:
     # -- durability hooks --------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Serializable ledger state for the durability snapshotter.
-
-        Includes the leaf-hash vector so :meth:`restore_state` can
-        rebuild the Merkle tree without rehashing, plus the root as a
-        self-check, and the raw payloads so audits keep working after
-        recovery.
-        """
+        """Serializable ledger state for the durability snapshotter:
+        every entry's payload, sliced out of the leaf buffer as a
+        :class:`RawJson` fragment (the snapshot file's bytes are the
+        stored fragments), plus the root as a self-check."""
         digest = self.digest()
+        entries, start = [], 0
+        for sequence, end in enumerate(self._ends[:digest.size]):
+            entries.append(RawJson(self._leaves[
+                start + len(_LEAF_PREFIX):end - _suffix_len(sequence)
+            ].decode("utf-8")))
+            start = end
         return {
             "name": self.name,
             "size": digest.size,
             "root": digest.root.hex(),
-            "leaf_hashes": [h.hex() for h in self._tree.leaf_hashes()],
-            # Spliced, not decoded: the snapshot file's bytes are the
-            # stored fragments (restore_state accepts them as they are).
-            "entries": [RawJson(entry.encoded_payload())
-                        for entry in self._entries],
+            "entries": entries,
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore from :meth:`snapshot_state` output into an empty
-        ledger, verifying the rebuilt tree's root against the stored
-        one (fail-closed: :class:`IntegrityError` on any mismatch)."""
-        if self._entries:
+        ledger (fail-closed: :class:`IntegrityError` on any mismatch).
+
+        The tree is rebuilt by hashing the restored entries, so the
+        check against the stored root covers every entry; leaf hashes
+        an older snapshot stored (``leaf_hashes``) are ignored."""
+        if len(self):
             raise IntegrityError(
                 f"refusing to restore into non-empty ledger {self.name!r}"
             )
         entries = state["entries"]
-        leaf_hashes = [bytes.fromhex(h) for h in state["leaf_hashes"]]
-        if len(entries) != len(leaf_hashes) or len(entries) != state["size"]:
+        if len(entries) != state["size"]:
             raise IntegrityError("ledger snapshot size mismatch")
-        self._entries = [
-            LedgerEntry(index, payload)
-            for index, payload in enumerate(entries)
-        ]
-        self._tree = MerkleTree.from_leaf_hashes(leaf_hashes)
-        root = self._tree.root()
-        if root.hex() != state["root"]:
+        self._store([_leaf_bytes(index, encode_canonical(payload))
+                     for index, payload in enumerate(entries)])
+        if self._tree.root().hex() != state["root"]:
+            self._clear()
             raise IntegrityError(
                 "ledger snapshot root mismatch: snapshot tampered or corrupt"
             )
-
-    # -- persistence -------------------------------------------------------
-
-    def dump(self, path: str) -> None:
-        """Persist the journal as canonical JSON lines: a header with
-        the current digest, then one line per entry.  The digest lets
-        :meth:`load` detect a file tampered at rest."""
-        digest = self.digest()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json({
-                "ledger": self.name,
-                "size": digest.size,
-                "root": digest.root,
-            }) + "\n")
-            for entry in self._entries:
-                # A dump line is the entry's canonical leaf, verbatim.
-                handle.write(entry.leaf_bytes().decode("utf-8") + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CentralLedger":
-        """Rebuild a ledger from :meth:`dump` output, verifying every
-        entry against the stored digest (fail-closed on tampering)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle if line.strip()]
-        if not lines:
-            raise IntegrityError("empty ledger file")
-        header = from_canonical_json(lines[0])
-        ledger = cls(name=header.get("ledger", "ledger"))
-        for index, line in enumerate(lines[1:]):
-            record = from_canonical_json(line)
-            if record.get("sequence") != index:
-                raise IntegrityError(
-                    f"ledger file out of order at entry {index}"
-                )
-            ledger.append(record["payload"])
-        digest = ledger.digest()
-        if digest.size != header["size"] or digest.root != header["root"]:
-            raise IntegrityError(
-                "ledger file digest mismatch: tampered or truncated"
-            )
-        return ledger
 
     # -- adversarial hooks for the tamper tests ---------------------------
 
     def tamper_rewrite(self, sequence: int, payload: Any) -> None:
         """Simulate a malicious manager rewriting history in place.
 
-        Rebuilds the tree so the *current* digest looks internally
-        consistent; detection happens when checked against an honestly
-        retained earlier digest.
+        Rebuilds the buffer and the tree so the *current* digest looks
+        internally consistent; detection happens when checked against
+        an honestly retained earlier digest.
         """
-        if not 0 <= sequence < len(self._entries):
+        if not 0 <= sequence < len(self):
             raise IntegrityError("tamper target out of range")
-        self._entries[sequence] = LedgerEntry(sequence, payload)
-        self._tree = MerkleTree([e.leaf_bytes() for e in self._entries])
+        leaves = [self._leaf(index) for index in range(len(self))]
+        leaves[sequence] = _leaf_bytes(sequence, encode_canonical(payload))
+        self._clear()
+        self._store(leaves)

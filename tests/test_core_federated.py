@@ -103,7 +103,7 @@ def test_mpc_decision_is_only_public_output():
     dbs = [platform_db("a"), platform_db("b")]
     engine = MPCVerifier(dbs, flsa(), width=8)
     engine.verify(task_update("w", 10, "a"), 0.0)
-    assert engine.manager_transcript == [("decision", True)]
+    assert list(engine.manager_transcript) == [("decision", True)]
 
 
 # -- token engine ---------------------------------------------------------------

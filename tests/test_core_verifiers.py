@@ -14,6 +14,7 @@ from repro.core.verifiers import (
     EngineError,
     PaillierVerifier,
     PlaintextVerifier,
+    TRANSCRIPT_WINDOW,
     ZKPVerifier,
 )
 from repro.database.engine import Database
@@ -124,6 +125,15 @@ def test_paillier_manager_transcript_has_no_plaintext():
     assert all(item != 777 for item in ciphertext_items)
     # Ciphertexts are huge group elements, never small plaintexts.
     assert all(item > 2**100 for item in ciphertext_items)
+
+
+def test_transcript_keeps_the_newest_window_of_observations():
+    engine = plaintext_factory(fresh_db(), regulation(10**9))
+    for i in range(3 * TRANSCRIPT_WINDOW):
+        engine.verify(make_update(i, "acme", 1), 0.0)
+    assert len(engine.manager_transcript) == TRANSCRIPT_WINDOW
+    assert [payload["id"] for payload in engine.manager_transcript] == list(
+        range(2 * TRANSCRIPT_WINDOW, 3 * TRANSCRIPT_WINDOW))
 
 
 def test_paillier_rejects_nonlinear_constraints():

@@ -23,9 +23,11 @@ from repro.common.errors import (
     IntegrityError,
     WalCorruptionError,
 )
+from repro.common.serialization import canonical_json, from_canonical_json
 from repro.core.contexts import single_private_database
 from repro.core.framework import PReVer
 from repro.core.verifiers import PaillierVerifier
+from repro.crypto.hashing import digest_canonical
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.database import Database, TableSchema
 from repro.database.schema import ColumnType
@@ -291,6 +293,65 @@ def test_snapshot_now_and_wal_prune(tmp_path):
     # LSN continuity: new records must not reuse snapshot-covered LSNs.
     fresh.submit(make_update(100))
     assert fresh._wal.last_lsn > report.snapshot_lsn
+    fresh.close()
+
+
+def rewrite_snapshot(path, edit):
+    """Apply ``edit`` to a snapshot's body and recompute the file's
+    sha256 self-check, as anyone who can write the file can."""
+    with open(path, "r", encoding="utf-8") as handle:
+        document = from_canonical_json(handle.read())
+    edit(document["snapshot"])
+    document["sha256"] = digest_canonical(document["snapshot"])
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(canonical_json(document))
+
+
+def snapshotted_run(tmp_path):
+    durability = Durability.wal_with_snapshots(
+        durable_dir(tmp_path), snapshot_every=0
+    )
+    framework, _ = build(durability=durability)
+    framework.submit_many([make_update(i) for i in range(4)])
+    path = framework.snapshot_now()
+    root = framework.ledger.digest().root
+    framework.close()
+    return durability, path, root
+
+
+def test_recovery_refuses_a_snapshot_with_a_rewritten_decision(tmp_path):
+    """The self-check is unkeyed, so it cannot catch a rewritten
+    decision; the ledger root check, which covers every restored entry,
+    must — recovery refuses instead of reporting the rewritten history
+    verified against its anchor."""
+    durability, path, _ = snapshotted_run(tmp_path)
+
+    def forge(body):
+        assert body["ledger"]["entries"][1]["status"] == "applied"
+        body["ledger"]["entries"][1]["status"] = "rejected"
+
+    rewrite_snapshot(path, forge)
+    fresh, _ = build(durability=durability)
+    with pytest.raises(IntegrityError, match="root mismatch"):
+        fresh.recover()
+    fresh.close()
+
+
+def test_version_1_snapshot_still_loads(tmp_path):
+    """Version 1 also stored the ledger's leaf hashes; restore ignores
+    them (here: forged ones) and rehashes the entries."""
+    durability, path, root = snapshotted_run(tmp_path)
+
+    def as_version_1(body):
+        body["version"] = 1
+        body["ledger"]["leaf_hashes"] = ["00" * 32] * body["ledger"]["size"]
+
+    rewrite_snapshot(path, as_version_1)
+    fresh, database = build(durability=durability)
+    report = fresh.recover()
+    assert report.snapshot_lsn is not None and report.verified_against_anchor
+    assert fresh.ledger.digest().root == root
+    assert len(database.table("emissions").rows()) == 4
     fresh.close()
 
 

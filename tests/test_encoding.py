@@ -397,9 +397,9 @@ def test_trace_reuses_cached_leaf_bytes(tmp_path, monkeypatch):
     results = fw.submit_many(_stream(8))
     fw.close()
     leaf_encodes = []
-    encode = central.encode_canonical_bytes
+    encode = central.encode_canonical
     monkeypatch.setattr(
-        central, "encode_canonical_bytes",
+        central, "encode_canonical",
         lambda value: leaf_encodes.append(value) or encode(value),
     )
     entry = fw.ledger.entry(5)
@@ -413,6 +413,28 @@ def test_trace_reuses_cached_leaf_bytes(tmp_path, monkeypatch):
     # The wrapper does count: a forged entry has to encode its payload.
     LedgerEntry(sequence=5, payload=trail["payload"])
     assert len(leaf_encodes) == 1
+
+
+def test_trace_builds_only_the_matching_entry(tmp_path, monkeypatch):
+    """/trace finds its trace id with one search over the packed leaf
+    bytes: it builds the matching entry and no other, and an unknown
+    trace id builds none."""
+    from repro.obs.tracing import Tracer
+
+    fw = _build_framework(str(tmp_path), tracer=Tracer())
+    results = fw.submit_many(_stream(40))
+    fw.close()
+    built = []
+    from_leaf = LedgerEntry._from_leaf
+    monkeypatch.setattr(LedgerEntry, "_from_leaf", classmethod(
+        lambda cls, sequence, leaf:
+            built.append(sequence) or from_leaf(sequence, leaf)))
+    trail = fw.verification_trail(results[31].trace_id)
+    assert trail["verified"] and trail["sequence"] == 31
+    assert built == [31]
+    built.clear()
+    assert fw.verification_trail("tr-none") is None
+    assert built == []
 
 
 if __name__ == "__main__":

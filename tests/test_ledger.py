@@ -1,5 +1,9 @@
 """Centralized ledger (RC4-single): proofs, auditing, tamper detection."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.common.errors import IntegrityError
@@ -24,6 +28,79 @@ def test_append_and_read():
 def test_entry_out_of_range():
     with pytest.raises(IntegrityError):
         filled(2).entry(5)
+
+
+def test_entry_rejects_negative_sequences():
+    ledger = filled(3)
+    for sequence in (-1, -3, -4):
+        with pytest.raises(IntegrityError):
+            ledger.entry(sequence)
+
+
+def test_find_searches_leaf_bytes_within_one_leaf():
+    ledger = CentralLedger()
+    ledger.append_batch([{"tag": "a"}, {"tag": "b"}, {"tag": "a"}])
+    assert ledger.find(b'"tag":"a"') == 0
+    assert ledger.find(b'"tag":"a"', since=1) == 2
+    assert ledger.find(b'"tag":"a"', since=3) is None
+    assert ledger.find(b'"tag":"c"') is None
+    # The bytes across a leaf boundary are no leaf's content.
+    boundary = b'"sequence":0}{"payload":'
+    assert boundary in b"".join(e.leaf_bytes() for e in ledger.entries())
+    assert ledger.find(boundary) is None
+
+
+def test_readers_see_whole_entries_while_a_writer_appends():
+    """A reader on another thread sees every entry as appended, digests
+    that later reads agree with, and working ``/trace`` lookups — and
+    holds no view of the leaf buffer that would stop it growing."""
+    from repro.core.framework import PReVer
+    from repro.database.engine import Database
+
+    framework = PReVer([Database("db")])
+    ledger = framework.ledger
+    total, batch = 3200, 8
+    errors, reads, digests = [], [], []
+
+    def payload(sequence):
+        return {"trace_id": f"tr-{sequence}", "i": sequence}
+
+    def write():
+        try:
+            for at in range(0, total, batch):
+                ledger.append_batch([payload(s) for s in range(at, at + batch)])
+                time.sleep(0)  # let the reader in between batches, too
+        except Exception as exc:  # pragma: no cover - the failure report
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-append as well
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        while writer.is_alive() or not reads:
+            size = len(ledger)
+            if not size:
+                continue
+            entry = ledger.entry(size - 1)
+            since = max(0, size - 4)
+            held = ledger.entries(since)
+            assert entry.payload == payload(size - 1)
+            assert [e.payload for e in held[:size - since]] == [
+                payload(s) for s in range(since, size)]
+            if len(reads) % 8 == 0:
+                digests.append(ledger.digest(size))
+                trail = framework.verification_trail(f"tr-{size // 2}")
+                assert trail["verified"] and trail["sequence"] == size // 2
+            reads.append(size)
+    finally:
+        writer.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and not errors, errors
+    assert len(reads) > 1 and len(ledger) == total
+    assert [e.payload for e in ledger.entries()] == [
+        payload(s) for s in range(total)]
+    assert digests == [ledger.digest(d.size) for d in digests]
 
 
 def test_digest_changes_with_appends():

@@ -1,26 +1,29 @@
 """What a decided update leaves resident, and what importing costs.
 
-The rule the ledger, outcome and database layers keep: once
-``Pipeline.run_batch`` returns, a decided update is its table row, one
-ledger entry (sequence + canonical leaf bytes, plus the leaf hash in the
-tree) and one 8-byte slot in the framework's decision index
-(``PReVer.results`` reads the ledger through it).  Three deployment
-shapes are held to a traced-bytes-per-update budget — tracemalloc,
-``gc.collect()`` before each reading, the slope between two readings so
-set-up and warm-up cancel — and an object-graph walk checks that none
-of the three stores keeps a ``dict`` per update besides the row itself.
+The rule the ledger, outcome, engine and database layers keep: once
+``Pipeline.run_batch`` returns, a decided update is its table row, its
+canonical leaf bytes in the ledger's one buffer plus an 8-byte end
+offset (and the leaf hash in the tree), and one 8-byte slot in the
+framework's decision index (``PReVer.results`` reads the ledger through
+it).  The engine's transcript is a fixed window of observations, full
+before the first reading.  Three deployment shapes are held to a
+traced-bytes-per-update budget — tracemalloc, ``gc.collect()`` before
+each reading, the slope between two readings so set-up and warm-up
+cancel — and object-graph walks check that no store keeps a ``dict``
+per update besides the row itself and that the ledger keeps no object
+per entry besides the tree's leaf hash.
 
 Budgets are this tree's measurement + 15 %.  The parent commit
-(1ca4d5e: every ``Timer`` kept each recorded duration in a list, about
-six samples per decided update) read, with the same code:
+(b8ed9d8: a ``LedgerEntry`` object per entry, every manager
+observation kept) read, with the same code:
 
     shape                         parent    this tree   budget
-    plaintext, row predicate       1,040        915      1,055
-    3 replicas, LocalDriver        2,896      2,540      2,935
-    Paillier, signed updates       1,128      1,025      1,185   (B/update)
+    plaintext, row predicate         918        587        675
+    3 replicas, LocalDriver        2,540      2,151      2,475
+    Paillier, signed updates       1,090        749        860   (B/update)
 
-Print the current readings with ``PYTHONPATH=src python
-tests/test_memory_slope.py``.
+Print the current readings, and each store's share of them, with
+``PYTHONPATH=src python tests/test_memory_slope.py``.
 """
 
 import gc
@@ -36,6 +39,7 @@ from repro.common.randomness import deterministic_rng
 from repro.consensus.driver import LocalDriver
 from repro.core.contexts import single_private_database
 from repro.core.replicated import ReplicatedShard
+from repro.core.verifiers import TRANSCRIPT_WINDOW
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.database.engine import Database
 from repro.database.expr import col, lit
@@ -49,9 +53,10 @@ from repro.model.participants import DataProducer
 from repro.model.update import Update, UpdateOperation
 from repro.parallel.executors import SERIAL_EXECUTOR
 
-BUDGET_BYTES_PER_UPDATE = {"plain": 1055, "replicated": 2935,
-                           "paillier": 1185}
+BUDGET_BYTES_PER_UPDATE = {"plain": 675, "replicated": 2475,
+                           "paillier": 860}
 CHUNK = 32
+STORES = ("ledger", "tree", "database", "transcript", "driver")
 
 
 # -- the three shapes ---------------------------------------------------------
@@ -115,66 +120,104 @@ def signed_task_updates(producer):
     return make
 
 
-def traced_bytes_per_update(submit, make_updates, updates: int) -> float:
-    """Slope of live traced bytes over ``updates`` decided updates,
-    after a warm-up of a quarter as many; the caller's own update list
-    is dropped before each reading (whatever still holds an update is
-    the system's)."""
-    def run(start: int, count: int) -> int:
+def traced_bytes_per_update(submit, make_updates, updates: int,
+                            observations: int = 1, stores=None):
+    """Slope of live traced bytes over ``updates`` decided updates, and
+    of each store's deep size when ``stores`` (a callable returning
+    :func:`store_bytes`) is given.  The warm-up first fills the engine's
+    transcript window (``observations`` per update), so a full window
+    reads as the constant it is; the caller's own update list is dropped
+    before each reading (whatever still holds an update is the
+    system's)."""
+    def run(start: int, count: int):
         for at in range(start, start + count, CHUNK):
             submit(make_updates(at, CHUNK))
         gc.collect()
-        return tracemalloc.get_traced_memory()[0]
+        traced = tracemalloc.get_traced_memory()[0]
+        return traced, stores() if stores else {}
 
-    warm = updates // 4
+    warm = TRANSCRIPT_WINDOW // observations + CHUNK
     tracemalloc.start()
     try:
-        before = run(0, warm)
-        after = run(warm, updates)
+        before, stores_before = run(0, warm)
+        after, stores_after = run(warm, updates)
     finally:
         tracemalloc.stop()
-    return (after - before) / updates
+    return (after - before) / updates, {
+        name: (stores_after[name] - stores_before[name]) / updates
+        for name in stores_after
+    }
 
 
-def measure(shape: str) -> float:
+def measure(shape: str, walk: bool = False):
+    """``(traced bytes per decided update, {store: bytes per update})``
+    for one shape; the per-store walk only with ``walk``."""
+    driver, observations = (), 1
     if shape == "plain":
         framework = build_emissions()
-        return traced_bytes_per_update(
-            framework.submit_many, emissions_updates, 1024)
-    if shape == "replicated":
+        submit, make, updates = framework.submit_many, emissions_updates, 1024
+        frameworks = [framework]
+    elif shape == "replicated":
         shard = ReplicatedShard(build_emissions, replicas=3,
                                 driver=LocalDriver())
-        return traced_bytes_per_update(
-            shard.submit_many, emissions_updates, 1024)
-    framework = build_tasks_paillier()
-    return traced_bytes_per_update(
-        framework.submit_many,
-        signed_task_updates(DataProducer("slope-producer")), 256)
+        submit, make, updates = shard.submit_many, emissions_updates, 1024
+        frameworks = shard.replicas
+        driver = (shard.driver._log, shard._batch_sizes)
+    else:
+        framework = build_tasks_paillier()
+        submit, updates = framework.submit_many, 256
+        make = signed_task_updates(DataProducer("slope-producer"))
+        frameworks = [framework]
+        observations = 2  # the group key, then the proposed ciphertext
+    stores = (lambda: store_bytes(frameworks, driver)) if walk else None
+    return traced_bytes_per_update(submit, make, updates, observations,
+                                   stores)
 
 
 @pytest.mark.parametrize("shape", sorted(BUDGET_BYTES_PER_UPDATE))
 def test_retained_bytes_per_decided_update(shape):
-    assert measure(shape) <= BUDGET_BYTES_PER_UPDATE[shape]
+    assert measure(shape)[0] <= BUDGET_BYTES_PER_UPDATE[shape]
 
 
-# -- what the three stores are made of ----------------------------------------
+# -- what the stores are made of ----------------------------------------------
 
 _OPAQUE = (type, ModuleType, FunctionType, BuiltinFunctionType)
 
 
-def dicts_reachable(root) -> int:
-    """Plain ``dict`` objects reachable from ``root`` through the object
-    graph (instance ``__dict__``s included), not descending into
-    classes, modules or functions."""
-    seen, stack, count = set(), [root], 0
+def reachable(*roots, seen=None):
+    """Objects reachable from ``roots`` through the object graph
+    (instance ``__dict__``s included), not descending into classes,
+    modules or functions, nor into anything already in ``seen``."""
+    seen = set() if seen is None else seen
+    stack = list(roots)
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, _OPAQUE):
             continue
         seen.add(id(obj))
-        count += type(obj) is dict
+        yield obj
         stack.extend(gc.get_referents(obj))
-    return count
+
+
+def dicts_reachable(root) -> int:
+    """Plain ``dict`` objects reachable from ``root``."""
+    return sum(type(obj) is dict for obj in reachable(root))
+
+
+def store_bytes(frameworks, driver=()) -> dict:
+    """Deep ``sys.getsizeof`` per store, summed over ``frameworks``;
+    each object counts under the first store that reaches it, and the
+    tree is walked before the ledger that holds it."""
+    roots = {
+        "tree": [fw.ledger._tree for fw in frameworks],
+        "ledger": [fw.ledger for fw in frameworks],
+        "database": [db for fw in frameworks for db in fw.databases],
+        "transcript": [fw.engine.manager_transcript for fw in frameworks],
+        "driver": list(driver),
+    }
+    seen = set()
+    return {name: sum(map(sys.getsizeof, reachable(*objs, seen=seen)))
+            for name, objs in roots.items()}
 
 
 def test_no_store_keeps_a_dict_per_update_besides_the_table_row():
@@ -192,6 +235,20 @@ def test_no_store_keeps_a_dict_per_update_besides_the_table_row():
     assert dicts_reachable(framework.results) <= constant
     assert dicts_reachable(framework.results[:]) <= constant
     assert dicts_reachable(framework.databases[0]) <= len(table) + constant
+
+
+def test_ledger_object_count_does_not_grow_with_depth():
+    """One leaf buffer and one offset array, however deep: the only
+    object per entry is the tree's leaf hash."""
+    framework = build_emissions()
+    ledger = framework.ledger
+    counts = []
+    for start in (0, 256):
+        for at in range(start, start + 256, CHUNK):
+            framework.submit_many(emissions_updates(at, CHUNK))
+        counts.append(sum(1 for _ in reachable(ledger)) - len(ledger))
+    assert len(ledger) == 512
+    assert counts[0] == counts[1]
 
 
 # -- import on demand ---------------------------------------------------------
@@ -251,6 +308,14 @@ def test_lazy_packages_export_what_they_declare():
 
 
 if __name__ == "__main__":
+    # Traced bytes per decided update against the budget, then where
+    # they live: the per-store slope of a deep size walk ("rest" is what
+    # the walk does not reach — allocator rounding, the decision index,
+    # timers, interpreter state).
+    print(f"{'shape':12s} {'traced':>8s} {'budget':>7s}"
+          + "".join(f" {name:>10s}" for name in STORES) + f" {'rest':>7s}")
     for shape in sorted(BUDGET_BYTES_PER_UPDATE):
-        print(f"{shape:12s} {measure(shape):8.0f} B/update "
-              f"(budget {BUDGET_BYTES_PER_UPDATE[shape]})")
+        traced, per_store = measure(shape, walk=True)
+        print(f"{shape:12s} {traced:8.0f} {BUDGET_BYTES_PER_UPDATE[shape]:7d}"
+              + "".join(f" {per_store[name]:10.0f}" for name in STORES)
+              + f" {traced - sum(per_store.values()):7.0f}")
