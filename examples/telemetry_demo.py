@@ -13,12 +13,10 @@ exercises every route a real deployment would wire up:
   the served JSON alone (rebuilding the entry, digest, and proof —
   the auditor never needs the server's trust).
 
-With ``--profile-out`` the run is wall-profiled and the collapsed
-stacks (flamegraph.pl input) are written there; ``--metrics-out``
-archives the ``/metrics.json`` body.
+``--metrics-out`` archives the ``/metrics.json`` body.
 
 Run:  PYTHONPATH=src python examples/telemetry_demo.py
-          [--profile-out profile.collapsed] [--metrics-out metrics.json]
+          [--metrics-out metrics.json]
 """
 
 import argparse
@@ -42,11 +40,10 @@ from repro import (
 )
 from repro.crypto.merkle import InclusionProof
 from repro.ledger.central import LedgerDigest, LedgerEntry
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.server import start_ops_server
 
 
-def build_framework(state_dir, profiler=None):
+def build_framework(state_dir):
     schema = TableSchema.build(
         "emissions",
         [("id", ColumnType.INT), ("org", ColumnType.TEXT),
@@ -61,7 +58,7 @@ def build_framework(state_dir, profiler=None):
     tracer = Tracer().add_sink(EventLog())
     return single_private_database(
         database, [cap], engine="paillier", tracer=tracer,
-        durability=Durability.wal(state_dir), profiler=profiler,
+        durability=Durability.wal(state_dir),
     )
 
 
@@ -91,17 +88,12 @@ def reverify_trail(trail):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="live ops endpoint demo")
-    parser.add_argument("--profile-out", default="",
-                        help="wall-profile the run and write collapsed "
-                             "stacks (flamegraph.pl input) to this path")
     parser.add_argument("--metrics-out", default="",
                         help="archive the /metrics.json body to this path")
     args = parser.parse_args(argv)
 
-    profiler = (SamplingProfiler(mode="wall", interval=0.001)
-                if args.profile_out else None)
     with tempfile.TemporaryDirectory(prefix="telemetry-demo-") as state_dir:
-        prever = build_framework(state_dir, profiler=profiler)
+        prever = build_framework(state_dir)
         updates = [
             Update(table="emissions", operation=UpdateOperation.INSERT,
                    payload={"id": i, "org": "acme", "co2": co2})
@@ -155,14 +147,6 @@ def main(argv=None):
                       f"{[event['kind'] for event in trail['events']]}")
 
         prever.close()
-        if profiler is not None:
-            stacks = profiler.write_collapsed(args.profile_out)
-            report = profiler.stage_report()
-            print(f"\n== profiler: {profiler.sample_count} samples, "
-                  f"{stacks} stacks -> {args.profile_out} ==")
-            for stage, stats in report.items():
-                print(f"  {stage:<14} self={stats['self_seconds'] * 1e3:.1f}ms "
-                      f"cum={stats['cum_seconds'] * 1e3:.1f}ms")
 
 
 if __name__ == "__main__":

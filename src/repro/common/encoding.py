@@ -10,11 +10,12 @@ for the WAL frame.  This module attacks both halves of that cost:
 * :func:`encode_canonical` — a specialized canonical encoder with flat,
   loop-based fast paths for the str/int/dict shapes that dominate
   update payloads.  It validates dict keys *while* encoding (the old
-  path paid a separate pre-walk), and anything outside the fast shapes
-  (type subclasses, exotic objects) falls back to the legacy
-  ``json.JSONEncoder`` path for that subtree, so the emitted bytes are
-  identical to the original encoder on every input — the canonical
-  goldens in ``tests/test_encoding.py`` pin this byte-for-byte.
+  path paid a separate pre-walk); ``bytes`` and ``to_dict`` objects
+  convert, and anything else outside the exact JSON types (type
+  subclasses such as ``IntEnum``, exotic objects) is refused.  Its
+  bytes equal the original ``json.JSONEncoder`` path's on every value
+  it accepts — ``tests/test_encoding.py`` keeps that path as its
+  oracle and pins the canonical goldens byte-for-byte.
 
 * :class:`RawJson` — a wrapper marking a string as *already* canonical
   JSON.  The encoder splices it verbatim, which is what lets the anchor
@@ -32,7 +33,6 @@ on demand.  Mutable objects (notably
 *require* re-encoding after mutation) are never identity-cached.
 """
 
-import json
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
@@ -61,58 +61,13 @@ class RawJson:
         return f"RawJson({self.text!r})"
 
 
-def _assert_string_keys(value: Any) -> None:
-    """Reject non-string dict keys anywhere in the value (the legacy
-    pre-walk, still used ahead of legacy-encoder subtree fallbacks —
-    ``json.dumps`` would silently coerce such keys, changing the
-    canonical bytes)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SerializationError(f"non-string dict key: {key!r}")
-            if isinstance(item, (dict, list, tuple)):
-                _assert_string_keys(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            if isinstance(item, (dict, list, tuple)):
-                _assert_string_keys(item)
-
-
-def _json_default(value: Any) -> Any:
-    """Legacy-encoder hook for the non-JSON types we support."""
-    if isinstance(value, bytes):
-        return {_BYTES_TAG: value.hex()}
-    to_dict = getattr(value, "to_dict", None)
-    if to_dict is not None:
-        return to_dict()
-    raise SerializationError(f"cannot canonically serialize {type(value)!r}")
-
-
-# The original encoder (one shared instance: json.dumps() with
-# non-default arguments builds a fresh JSONEncoder per call).  It now
-# serves two roles: the byte-identity reference for the goldens, and
-# the subtree fallback for values outside the fast paths.
-LEGACY_ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=_json_default
-)
-
-
-def legacy_canonical_json(value: Any) -> str:
-    """The pre-encode-once path, kept verbatim as the byte-identity
-    oracle (``tests/test_encoding.py`` compares every corpus shape
-    against it) and as the exotic-value fallback."""
-    _assert_string_keys(value)
-    return LEGACY_ENCODER.encode(value)
-
-
 def _encode_fallback(value: Any, put) -> None:
     """Encode one node outside the fast shapes.
 
     bytes and ``to_dict`` objects convert and re-enter the fast
-    encoder; anything else (str/int/float/dict/list *subclasses*,
-    whose repr or iteration may differ from the base type) goes
-    through the legacy encoder for the whole subtree, keeping the
-    emitted bytes identical to the original path.
+    encoder.  Anything else is refused — including str/int/float/dict/
+    list/tuple *subclasses*, whose repr or iteration may differ from
+    the base type; every producer builds exact types.
     """
     if isinstance(value, bytes):
         put('{"%s":"%s"}' % (_BYTES_TAG, value.hex()))
@@ -121,9 +76,6 @@ def _encode_fallback(value: Any, put) -> None:
     if to_dict is not None:
         _encode(to_dict(), put)
         return
-    if isinstance(value, (str, int, float, dict, list, tuple)):
-        put(legacy_canonical_json(value))
-        return
     raise SerializationError(f"cannot canonically serialize {type(value)!r}")
 
 
@@ -131,10 +83,9 @@ def _encode(value: Any, put) -> None:
     """Append the canonical encoding of ``value`` via ``put``.
 
     Exact-type checks keep the fast paths honest: a subclass (IntEnum,
-    a str subtype, an OrderedDict) drops to :func:`_encode_fallback`
-    so its bytes come from the same machinery as before.  Flat dicts
-    and lists — the dominant update-payload shape — encode in a single
-    loop with no recursion.
+    a str subtype, an OrderedDict) drops to :func:`_encode_fallback`,
+    which refuses it.  Flat dicts and lists — the dominant
+    update-payload shape — encode in a single loop with no recursion.
     """
     t = type(value)
     if t is str:
@@ -203,9 +154,10 @@ def _encode(value: Any, put) -> None:
 def encode_canonical(value: Any) -> str:
     """Serialize ``value`` to a canonical JSON string.
 
-    Byte-identical to :func:`legacy_canonical_json` for every value
-    the legacy path accepts, plus :class:`RawJson` fragments, which it
-    splices verbatim.
+    Byte-identical to the original ``json.JSONEncoder`` path for every
+    exact-typed value (``tests/test_encoding.py`` keeps that path as
+    its oracle), plus :class:`RawJson` fragments, which it splices
+    verbatim.
     """
     parts = []
     _encode(value, parts.append)

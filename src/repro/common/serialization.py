@@ -10,9 +10,10 @@ Encoding is delegated to :mod:`repro.common.encoding` — the encode-once
 layer with flat fast paths for the str/int/dict shapes that dominate
 update payloads and verbatim splicing of pre-encoded
 :class:`~repro.common.encoding.RawJson` fragments.  Its output is
-byte-identical to the original ``json.JSONEncoder`` path (kept there as
-``legacy_canonical_json``, the oracle the encoding goldens compare
+byte-identical to the original ``json.JSONEncoder`` path (kept in
+``tests/test_encoding.py`` as the oracle the encoding goldens compare
 against), so every root, signature payload, and WAL frame is unchanged.
+Type subclasses (an ``IntEnum``, a ``str`` subtype) are refused.
 """
 
 import json

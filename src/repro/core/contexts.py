@@ -54,14 +54,11 @@ def single_private_database(
     tracer=None,
     executor=None,
     durability=None,
-    profiler=None,
 ) -> PReVer:
     """RC1 context: outsourced single database, untrusted manager.
 
     ``durability`` takes a :class:`repro.durability.Durability` policy
-    (default off — nothing persisted); ``profiler`` an optional
-    :class:`repro.obs.profiler.SamplingProfiler` (default: built from
-    ``REPRO_PROFILE``, i.e. off unless the environment opts in)."""
+    (default off — nothing persisted)."""
     constraints = list(constraints)
     if engine == "paillier":
         verifier = PaillierVerifier(constraints)
@@ -89,7 +86,6 @@ def single_private_database(
         tracer=tracer,
         executor=executor,
         durability=durability,
-        profiler=profiler,
     )
     for constraint in constraints:
         if constraint.kind.value == "internal":

@@ -79,7 +79,6 @@ class PReVer:
         tracer: Optional[Tracer] = None,
         executor=None,
         durability: Optional[Durability] = None,
-        profiler=None,
     ):
         if not databases:
             raise PReVerError("PReVer needs at least one database")
@@ -163,17 +162,6 @@ class PReVer:
                     metrics=self.metrics,
                     tracer=self.tracer,
                 )
-        # Always-on profiling: default None (and profiler_from_env()
-        # returns None unless REPRO_PROFILE is set).  When present,
-        # the sampler starts now and stage markers in the pipeline
-        # attribute samples to authenticate/verify/anchor_batch/....
-        if profiler is None:
-            from repro.obs.profiler import profiler_from_env
-
-            profiler = profiler_from_env()
-        self.profiler = profiler
-        if self.profiler is not None:
-            self.profiler.start()
         # The digest captured by the most recent durable anchor commit;
         # /readyz checks the live ledger still extends it.
         self._last_anchored_digest = None
@@ -365,13 +353,10 @@ class PReVer:
         return thread
 
     def close(self) -> None:
-        """Flush and fsync the WAL and stop the profiler; call before
-        discarding the instance (a no-op with durability and profiling
-        off)."""
+        """Flush and fsync the WAL; call before discarding the instance
+        (a no-op with durability off)."""
         if self._wal is not None:
             self._wal.close()
-        if self.profiler is not None:
-            self.profiler.stop()
 
     def _record_result(self, update: Update, outcome: VerificationOutcome,
                        applied: bool, timings: Dict[str, float],

@@ -500,43 +500,20 @@ class Pipeline:
         Everything with externally visible effects — the WAL records
         (DurabilityStage), database mutation (ApplyStage), and ledger
         anchoring (AnchorStage) — happens only here.
-
-        Each stage call is bracketed by its name on the sampling
-        profiler's stage stack for this thread; without a profiler the
-        stack is a list nobody reads.  Raw push/pop rather than a
-        context manager: five boundaries per update make even minimal
-        with-statement machinery a measurable tax on the plaintext
-        engine.
         """
-        fw = self.framework
         ctxs = [UpdateContext(update) for update in updates]
-        prof = fw.profiler
-        stack = prof.thread_stack() if prof is not None else []
-        depth = len(stack)
+        self.auth.run_batch(ctxs, executor)
+        self.verify.run_batch(ctxs, executor)
         try:
-            stack.append("auth_batch")
-            self.auth.run_batch(ctxs, executor)
-            stack.pop()
-            stack.append("prepare_batch")
-            self.verify.run_batch(ctxs, executor)
-            stack.pop()
-            try:
-                for ctx in ctxs:
-                    self._begin(ctx)
-                    for stage in self.walk:
-                        stack.append(stage.name)
-                        stage.run_one(ctx)
-                        stack.pop()
-                        if ctx.halted:
-                            break
-            finally:
-                self.verify.finish_batch(ctxs)
-            stack.append("anchor_batch")
-            self.anchor.run_batch(ctxs, executor)
+            for ctx in ctxs:
+                self._begin(ctx)
+                for stage in self.walk:
+                    stage.run_one(ctx)
+                    if ctx.halted:
+                        break
         finally:
-            # One unwind for every exit, so a stage that raised never
-            # leaves its name on the thread's stack.
-            del stack[depth:]
+            self.verify.finish_batch(ctxs)
+        self.anchor.run_batch(ctxs, executor)
         return [self._record(ctx) for ctx in ctxs]
 
     def _begin(self, ctx: UpdateContext) -> None:

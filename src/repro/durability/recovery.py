@@ -149,6 +149,9 @@ class RecoveryManager:
                     "anchored root — refusing to serve"
                 )
             report.verified_against_anchor = True
+            # The recovered root is the last durable anchor: /readyz and
+            # verification trails check against it from the first probe.
+            framework._last_anchored_digest = digest
         elif len(framework.ledger):
             raise WalCorruptionError(
                 "ledger has entries but the WAL holds no anchor marker "

@@ -18,9 +18,7 @@ is attached.
   snapshots merging worker-process and shard-child telemetry into the
   coordinator registry;
 * :mod:`repro.obs.server` — the live ops endpoint (``/metrics``,
-  ``/metrics.json``, ``/healthz``, ``/readyz``, ``/trace/<id>``);
-* :mod:`repro.obs.profiler` — the opt-in (``REPRO_PROFILE=wall|cpu``)
-  per-stage sampling profiler with collapsed-stack output.
+  ``/metrics.json``, ``/healthz``, ``/readyz``, ``/trace/<id>``).
 """
 
 from typing import TYPE_CHECKING
@@ -41,7 +39,6 @@ if TYPE_CHECKING:
         to_prometheus,
         write_metrics_json,
     )
-    from repro.obs.profiler import SamplingProfiler, profiler_from_env
     from repro.obs.server import OpsServer, start_ops_server
     from repro.obs.tracing import NOOP_TRACER, NullTracer, Span, Tracer
 
@@ -54,7 +51,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "METRICS_SCHEMA_VERSION", "metrics_to_json", "to_prometheus",
         "write_metrics_json",
     ),
-    "repro.obs.profiler": ("SamplingProfiler", "profiler_from_env"),
     "repro.obs.server": ("OpsServer", "start_ops_server"),
     "repro.obs.tracing": ("NOOP_TRACER", "NullTracer", "Span", "Tracer"),
 })
@@ -66,13 +62,11 @@ __all__ = [
     "NOOP_TRACER",
     "NullTracer",
     "OpsServer",
-    "SamplingProfiler",
     "Span",
     "TelemetryDelta",
     "Tracer",
     "merge_delta",
     "metrics_to_json",
-    "profiler_from_env",
     "start_ops_server",
     "to_prometheus",
     "worker_metrics",

@@ -1,11 +1,13 @@
 """The documents cannot drift from the tree.
 
-Two pins, in the spirit of the docs/PROTOCOL.md byte pins in
+Three pins, in the spirit of the docs/PROTOCOL.md byte pins in
 ``tests/test_serve_protocol.py``: every script, test, result file or
 ``src/repro`` module a document cites exists (and every
-``tests/x.py::name`` / ``package/module.py::Name`` in it), and the one
-end-to-end numbers table (EXPERIMENTS.md) is exactly the rendering
-of the committed ``BENCH_e2e.json``.
+``tests/x.py::name`` / ``package/module.py::Name`` in it), every
+``REPRO_*`` environment variable a document or example names is one
+the code reads (and docs/OPERATIONS.md catalogues every one it reads),
+and the one end-to-end numbers table (EXPERIMENTS.md) is exactly the
+rendering of the committed ``BENCH_e2e.json``.
 """
 
 import importlib.util
@@ -36,6 +38,15 @@ CITED_MODULE = re.compile(
 #: Their audit rows name deleted ``src/repro`` files on purpose.
 AUDIT_LOGS = ("EXPERIMENTS.md", "DESIGN.md")
 
+ENV_KNOB = re.compile(r"\bREPRO_[A-Z0-9_]+")
+#: A knob the code reads: the whole of a string literal.
+ENV_KNOB_LITERAL = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")
+#: Where knobs are documented (EXPERIMENTS.md, DESIGN.md and CHANGES.md
+#: record history, so deleted knobs stay named there).
+KNOB_DOCUMENTS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                  ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+                  *sorted((ROOT / "examples").glob("*.py"))]
+
 
 def test_cited_scripts_tests_and_result_files_exist():
     missing = []
@@ -61,6 +72,23 @@ def test_cited_scripts_tests_and_result_files_exist():
                 missing.append(f"{document.name}: {path}::{name}")
     assert not missing, "documents cite what does not exist: " + \
         ", ".join(missing)
+
+
+def test_environment_knobs_are_read_and_catalogued():
+    read = {knob for module in sorted(SOURCE.rglob("*.py"))
+            for knob in ENV_KNOB_LITERAL.findall(
+                module.read_text(encoding="utf-8"))}
+    assert read, "no REPRO_* knob literal found under src/repro"
+    unread = [f"{document.relative_to(ROOT)}: {knob}"
+              for document in KNOB_DOCUMENTS
+              for knob in sorted(set(ENV_KNOB.findall(
+                  document.read_text(encoding="utf-8"))) - read)]
+    assert not unread, "documents name knobs nothing reads: " + \
+        ", ".join(unread)
+    operations = (ROOT / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    uncatalogued = sorted(read - set(ENV_KNOB.findall(operations)))
+    assert not uncatalogued, "docs/OPERATIONS.md does not name: " + \
+        ", ".join(uncatalogued)
 
 
 def test_experiments_medians_table_is_the_rendering_of_bench_e2e():

@@ -575,6 +575,42 @@ def test_recovered_results_index_the_anchored_decisions(tmp_path, engine,
     recovered.close()
 
 
+@pytest.mark.parametrize("mode", ["wal", "wal+snapshot"])
+def test_recovered_readyz_checks_the_recovered_anchor(tmp_path, mode):
+    """The root recovery verified is the framework's last anchored
+    digest: ``/readyz`` catches a rewrite of recovered history before
+    any new batch commits, and a verification trail proves against the
+    recovered anchor, not the live ledger.  In ``wal+snapshot`` mode the
+    snapshot is the last anchor (no WAL anchor follows it)."""
+    directory = durable_dir(tmp_path)
+    durability = (Durability.wal(directory) if mode == "wal" else
+                  Durability.wal_with_snapshots(directory, snapshot_every=0))
+    live, _ = build(durability=durability, tracer=Tracer())
+    for at in range(0, 16, 4):
+        live.submit_many([make_update(i) for i in range(at, at + 4)])
+    if mode == "wal+snapshot":
+        live.snapshot_now()
+    anchored = {"size": len(live.ledger),
+                "root": live.ledger.digest().root.hex()}
+    live.close()
+
+    recovered, _ = build(durability=durability)
+    assert recovered.recover().verified_against_anchor
+    ready = recovered.readiness_report()
+    assert ready["ok"]
+    assert ready["checks"]["anchored_root"] == {
+        "ok": True, "anchored": True, **anchored,
+    }
+    payload = recovered.ledger.entry(0).payload
+    payload["status"] = "applied-but-not-really"
+    recovered.ledger.tamper_rewrite(0, payload)
+    ready = recovered.readiness_report()
+    assert not ready["ok"] and not ready["checks"]["anchored_root"]["ok"]
+    trail = recovered.verification_trail(payload["trace_id"])
+    assert trail["digest"] == anchored and not trail["verified"]
+    recovered.close()
+
+
 def test_durability_off_is_byte_identical(tmp_path):
     """Anchored payloads never depend on the durability mode: ledger
     roots with durability off equal roots with it on."""

@@ -5,10 +5,12 @@ The fast canonical encoder (``repro.common.encoding``) replaced the
 WAL frame in the repo, and the anchor stage now encodes each decision
 payload exactly once, splicing the fragment into the ledger leaf and
 the WAL record.  None of that may change a single byte: the legacy
-encoder is kept in-tree as the oracle (``legacy_canonical_json``) and
+encoder is kept below as the oracle (``legacy_canonical_json``) and
 this suite checks the new path against it across every value shape the
 system produces, plus pinned end-to-end goldens (ledger root, WAL
-sha256) captured against the pre-encode-once pipeline.
+sha256) captured against the pre-encode-once pipeline.  The one place
+the two part ways is type subclasses (an ``IntEnum``, a ``str``
+subtype): no producer builds them, and the fast encoder refuses them.
 
 The caching rules are also load-bearing:
 
@@ -28,6 +30,7 @@ change):
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import pickle
@@ -36,10 +39,10 @@ from enum import IntEnum
 import pytest
 
 from repro.common.encoding import (
+    _BYTES_TAG,
     RawJson,
     encode_canonical,
     encode_canonical_bytes,
-    legacy_canonical_json,
 )
 from repro.common.errors import SerializationError
 from repro.common.serialization import (
@@ -56,6 +59,44 @@ from repro.ledger.central import CentralLedger, LedgerEntry
 from repro.model.constraints import upper_bound_regulation
 from repro.model.participants import DataProducer
 from repro.model.update import Update, UpdateOperation
+
+
+# -- the oracle: the pre-encode-once json.JSONEncoder path ------------------
+
+def _assert_string_keys(value):
+    """Reject non-string dict keys anywhere in the value: ``json.dumps``
+    would silently coerce them, changing the canonical bytes."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise SerializationError(f"non-string dict key: {key!r}")
+            if isinstance(item, (dict, list, tuple)):
+                _assert_string_keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            if isinstance(item, (dict, list, tuple)):
+                _assert_string_keys(item)
+
+
+def _json_default(value):
+    """Encoder hook for the non-JSON types the system supports."""
+    if isinstance(value, bytes):
+        return {_BYTES_TAG: value.hex()}
+    to_dict = getattr(value, "to_dict", None)
+    if to_dict is not None:
+        return to_dict()
+    raise SerializationError(f"cannot canonically serialize {type(value)!r}")
+
+
+LEGACY_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_json_default
+)
+
+
+def legacy_canonical_json(value):
+    """The pre-encode-once canonical encoder, verbatim."""
+    _assert_string_keys(value)
+    return LEGACY_ENCODER.encode(value)
 
 
 # -- corpus: every value shape the system serializes ------------------------
@@ -109,8 +150,23 @@ CORPUS = [
      "timestamp": 7.0},               # the anchored decision-record shape
     {"mixed": [True, False, None, 0, 1.25, "s", b"\x01", {"k": []}]},
     {"tagged": b"\xde\xad\xbe\xef"},
-    _Color.RED,                     # int subclass → fallback path
-    _OddStr("substr"),              # str subclass → fallback path
+    # the WAL update-record shape (composite key, engine clock reading)
+    {"table": "events", "operation": "modify", "payload": {"amount": 1},
+     "key": (1, "alice"), "visibility": "private", "producers": [],
+     "managers": ["db"], "update_id": "g-mod", "now": 7.25},
+    # the WAL anchor-frame shape
+    {"payloads": [{"update_id": "u-1", "status": "rejected"}],
+     "size": 12, "root": "ab" * 32},
+    # engine snapshot state: ciphertext-sized ints keyed by group
+    {"aggregates": {"cst-cap|alice": 3 ** 2600, "cst-cap|bob": 7 ** 900},
+     "constraints": ["cst-cap"]},
+]
+
+#: Exact-type subclasses: the fast encoder refuses them (the oracle
+#: would encode them through their base type).
+SUBCLASSED = [
+    _Color.RED,
+    _OddStr("substr"),
     {"enum": _Color.RED, "deep": [[_Color.RED]]},
 ]
 
@@ -141,13 +197,10 @@ def test_to_dict_hook_matches_legacy():
 
 def test_roundtrip_property():
     for value in CORPUS:
-        try:
-            text = canonical_json(value)
-        except SerializationError:
-            continue
+        text = canonical_json(value)
         decoded = from_canonical_json(text)
-        # Canonical JSON collapses tuples to lists and enum members to
-        # their values; re-encoding must reach a fixed point.
+        # Canonical JSON collapses tuples to lists; re-encoding must
+        # reach a fixed point.
         assert canonical_json(decoded) == text
 
 
@@ -166,6 +219,14 @@ def test_unserializable_rejected():
         encode_canonical(object())
     with pytest.raises(SerializationError):
         encode_canonical({"k": {1, 2}})
+
+
+@pytest.mark.parametrize("value", SUBCLASSED, ids=["int", "str", "nested"])
+def test_type_subclasses_rejected(value):
+    with pytest.raises(SerializationError, match="cannot canonically"):
+        encode_canonical(value)
+    with pytest.raises(SerializationError):
+        CentralLedger().append(value)
 
 
 # -- RawJson splicing -------------------------------------------------------
@@ -241,8 +302,8 @@ def test_ledger_entry_payload_decodes_what_was_appended(index):
     )
     assert plain.encoded_payload() == canonical_json(value)
     decoded = ledger.entry(0).payload
-    # Tuples come back as lists and subclasses as their base type:
-    # the decode is the anchored value, a fixed point of the encoder.
+    # Tuples come back as lists: the decode is the anchored value, a
+    # fixed point of the encoder.
     assert decoded == from_canonical_json(canonical_json(value))
     assert canonical_json(decoded) == canonical_json(value)
 

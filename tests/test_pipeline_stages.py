@@ -27,10 +27,11 @@ import pytest
 
 from repro.core.contexts import single_private_database
 from repro.core.framework import PReVer
+from repro.core.verifiers import PlaintextVerifier
 from repro.database.engine import Database
 from repro.database.expr import lit, update_field
 from repro.database.schema import ColumnType, TableSchema
-from repro.durability import Durability
+from repro.durability import Durability, SimulatedCrash
 from repro.ledger.central import CentralLedger
 from repro.model.constraints import (
     Constraint,
@@ -266,6 +267,28 @@ def test_stage_callables_resolve_on_the_instance_at_call_time(entry, tmp_path):
         "AnchorStage.run_batch": batches,
         "DurabilityStage.commit": batches,
     }
+
+
+# -- a walk that raises -------------------------------------------------------
+
+def test_walk_that_raises_releases_the_engine_batch_state(tmp_path):
+    """A stage raising mid-walk still runs ``VerifyStage.finish_batch``:
+    the engine's batch cache is released, and the crash leaves nothing
+    behind that moves a fresh framework's golden root."""
+    crashing = single_private_database(
+        make_db(), pinned_constraints(), engine="plaintext",
+        durability=Durability.wal(str(tmp_path / "crash"))
+        .with_crash_after("apply"),
+    )
+    assert isinstance(crashing.engine, PlaintextVerifier)
+    with pytest.raises(SimulatedCrash):
+        crashing.submit_many(golden_stream()[:8])
+    assert crashing.engine._batch_cache is None
+    crashing.close()
+    framework, _ = run_path("plaintext", "batched", str(tmp_path / "fresh"))
+    golden = GOLDEN[("plaintext", "batched")]
+    assert framework.ledger.digest().root.hex() == golden["root"]
+    assert wal_sha256(str(tmp_path / "fresh")) == golden["wal_sha256"]
 
 
 # -- traced runs: structural equivalence -------------------------------------
