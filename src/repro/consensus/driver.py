@@ -59,6 +59,11 @@ from repro.serve import protocol
 
 _DRIVER_KINDS = ("local", "paxos", "pbft", "sharper")
 
+#: Proposals a cluster driver makes for one batch before giving up.
+_MAX_ATTEMPTS = 8
+#: Seconds (simulated) a PBFT replica waits before a view change.
+_PBFT_VIEW_TIMEOUT = 5.0
+
 
 @dataclass(frozen=True)
 class DecidedBatch:
@@ -87,8 +92,6 @@ class ReplicationPlan:
     nodes: int = 3
     f: int = 1
     profile: Any = "lan"
-    view_timeout: float = 5.0
-    max_attempts: int = 8
 
     def __post_init__(self):
         if self.kind not in _DRIVER_KINDS:
@@ -143,15 +146,10 @@ class ReplicationDriver:
     """
 
     name = "replication"
-    #: Whether payloads cross a (simulated) network — if True the
-    #: pipeline wire-encodes updates and every replica decodes fresh
-    #: objects; the LocalDriver passes caller objects straight through.
-    transports = True
 
     def __init__(self):
         self._log: List[DecidedBatch] = []
         self._seq_by_key: Dict[str, int] = {}
-        self._seen: set = set()
         self._raw_cursor = 0     # consumed cluster committed-prefix entries
         self._stream_cursor = 0  # consumer position in the deduped log
         self._proposed = 0
@@ -253,15 +251,6 @@ class ReplicationDriver:
             raise ProtocolError("catch_up needs a non-negative sequence")
         return list(self._log[from_sequence:])
 
-    @property
-    def proposed_count(self) -> int:
-        return self._proposed
-
-    @property
-    def decided_count(self) -> int:
-        self._refresh()
-        return len(self._log)
-
     def stats(self) -> dict:
         """Ordering statistics for the bench harness."""
         return {
@@ -293,7 +282,6 @@ class LocalDriver(ReplicationDriver):
     machinery the consensus drivers do."""
 
     name = "local"
-    transports = False
 
     def encode_batch(self, updates: Sequence) -> dict:
         return {"updates": list(updates)}
@@ -314,15 +302,9 @@ class _ClusterDriver(ReplicationDriver):
     committed prefix can be de-duplicated (loss-driven retransmits may
     decide a command in two slots) and protocol filler (PBFT view
     change no-ops, equivocation decoys) filtered out.  ``propose``
-    retries up to ``max_attempts`` times on a lossy network, re-driving
-    stuck slots via :meth:`_recover_pending` between attempts.
+    makes up to ``_MAX_ATTEMPTS`` attempts on a lossy network,
+    re-driving stuck slots via :meth:`_recover_pending` between them.
     """
-
-    def __init__(self, max_attempts: int = 8):
-        super().__init__()
-        if max_attempts < 1:
-            raise ProtocolError("max_attempts must be positive")
-        self.max_attempts = max_attempts
 
     # subclasses provide: _submit(wrapped), _run(), _committed_values(),
     # and optionally _recover_pending().
@@ -332,7 +314,7 @@ class _ClusterDriver(ReplicationDriver):
 
     def _order(self, key: str, payload) -> int:
         wrapped = {"rep": key, "payload": payload}
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt > 0:
                 self._recover_pending()
                 self._refresh()
@@ -347,7 +329,7 @@ class _ClusterDriver(ReplicationDriver):
                 return sequence
         raise ProtocolError(
             f"{self.name}: batch {key} not decided after "
-            f"{self.max_attempts} attempts"
+            f"{_MAX_ATTEMPTS} attempts"
         )
 
     def _extract(self, value) -> Tuple[Optional[str], Any]:
@@ -363,9 +345,8 @@ class _ClusterDriver(ReplicationDriver):
             value = values[self._raw_cursor]
             self._raw_cursor += 1
             key, payload = self._extract(value)
-            if key is None or key in self._seen:
+            if key is None or key in self._seq_by_key:
                 continue
-            self._seen.add(key)
             sequence = len(self._log)
             self._seq_by_key[key] = sequence
             self._log.append(DecidedBatch(sequence, payload))
@@ -392,9 +373,8 @@ class PaxosDriver(_ClusterDriver):
     name = "paxos"
 
     def __init__(self, nodes: int = 3, network: Optional[SimNetwork] = None,
-                 profile="lan", metrics=None, tracer=None,
-                 max_attempts: int = 8):
-        super().__init__(max_attempts=max_attempts)
+                 profile="lan", metrics=None, tracer=None):
+        super().__init__()
         from repro.consensus.paxos import PaxosCluster
 
         net = _build_network(network, profile, metrics, tracer)
@@ -425,15 +405,14 @@ class PbftDriver(_ClusterDriver):
     name = "pbft"
 
     def __init__(self, f: int = 1, network: Optional[SimNetwork] = None,
-                 profile="lan", metrics=None, tracer=None,
-                 view_timeout: float = 5.0, max_attempts: int = 8):
-        super().__init__(max_attempts=max_attempts)
+                 profile="lan", metrics=None, tracer=None):
+        super().__init__()
         from repro.consensus.pbft import PBFTCluster
 
         net = _build_network(network, profile, metrics, tracer)
         self.cluster = PBFTCluster(f=f, network=net,
                                    name_prefix=f"pbft-{self._origin}",
-                                   view_timeout=view_timeout)
+                                   view_timeout=_PBFT_VIEW_TIMEOUT)
 
     def _submit(self, wrapped: dict) -> None:
         self.cluster.submit(wrapped)
@@ -464,8 +443,8 @@ class SharperDriver(_ClusterDriver):
 
     def __init__(self, ledger=None, shard: str = "s0", f: int = 1,
                  network: Optional[SimNetwork] = None, profile="lan",
-                 metrics=None, tracer=None, max_attempts: int = 8):
-        super().__init__(max_attempts=max_attempts)
+                 metrics=None, tracer=None):
+        super().__init__()
         from repro.chain.sharper import ShardedLedger
 
         if ledger is None:
@@ -518,16 +497,14 @@ def make_driver(plan: ReplicationPlan, metrics=None, tracer=None,
     elif plan.kind == "paxos":
         driver = PaxosDriver(nodes=plan.nodes, network=network,
                              profile=plan.profile, metrics=metrics,
-                             tracer=tracer, max_attempts=plan.max_attempts)
+                             tracer=tracer)
     elif plan.kind == "pbft":
         driver = PbftDriver(f=plan.f, network=network, profile=plan.profile,
-                            metrics=metrics, tracer=tracer,
-                            view_timeout=plan.view_timeout,
-                            max_attempts=plan.max_attempts)
+                            metrics=metrics, tracer=tracer)
     else:
         driver = SharperDriver(ledger=sharper_ledger, shard=sharper_shard,
                                f=plan.f, network=network,
                                profile=plan.profile, metrics=metrics,
-                               tracer=tracer, max_attempts=plan.max_attempts)
+                               tracer=tracer)
     driver.bind_observability(metrics, tracer)
     return driver

@@ -119,7 +119,7 @@ class PReVer:
         if self.tracer.enabled:
             if hasattr(self.ledger, "bind_tracer"):
                 self.ledger.bind_tracer(self.tracer)
-            if engine is not None and hasattr(engine, "bind_tracer"):
+            if engine is not None:
                 engine.bind_tracer(self.tracer)
         # Execution layer for the crypto-heavy stages: serial by
         # default, a process pool when requested explicitly or via
@@ -135,7 +135,7 @@ class PReVer:
         # result-invariant for pooled ones, so binding unconditionally
         # is safe.
         self.executor.bind_metrics(self.metrics)
-        if engine is not None and hasattr(engine, "bind_executor"):
+        if engine is not None:
             engine.bind_executor(self.executor)
         # Durability: off by default, which keeps every code path (and
         # so every decision, digest, and benchmark number) identical to
@@ -237,8 +237,7 @@ class PReVer:
         of one."""
         return self.submit_many([update])[0]
 
-    def submit_many(self, updates: Sequence[Update],
-                    executor=None) -> List[UpdateResult]:
+    def submit_many(self, updates: Sequence[Update]) -> List[UpdateResult]:
         """Run a batch of updates through the pipeline, anchoring once.
 
         Decision-equivalent to calling :meth:`submit` per update in
@@ -248,18 +247,11 @@ class PReVer:
         per-update linear scans, an incremental aggregate cache
         replaces per-update table re-scans, and the ledger's Merkle
         tree is extended once per batch instead of once per decision.
-
-        ``executor`` overrides the framework's execution layer for this
-        batch only.  Under a parallel executor two crypto stages fan
-        out across workers — batch Schnorr authentication and engine
-        contribution encryption (via the ``prepare_batch`` hook) — with
-        results still byte-identical to the serial path.
         """
         updates = list(updates)
         if not updates:
             return []
-        executor = executor if executor is not None else self.executor
-        return self.pipeline.run_batch(updates, executor)
+        return self.pipeline.run_batch(updates, self.executor)
 
     def _apply(self, update: Update) -> None:
         database = self._target_database(update)

@@ -8,8 +8,9 @@ it into six stage objects with a uniform ``run_one`` / ``run_batch``
 interface:
 
 ``AuthStage``
-    provenance (Schnorr signature) checks; ``run_batch`` is the
-    random-linear-combination batch verification.
+    provenance (Schnorr signature) checks; ``run_batch`` decides every
+    update's provenance with the random-linear-combination batch
+    verification.
 ``RouteStage``
     constraint routing through the table index (plaintext engine only
     — plugged-in engines route internally).
@@ -26,6 +27,15 @@ interface:
 ``AnchorStage``
     decision payloads onto the append-only ledger — one Merkle
     extension and one anchor marker per batch (``run_batch``).
+
+The stage contract: ``run_one`` does its stage's work on one update
+and returns its verdict — ``None`` to go on, or the rejection reason.
+The walk in :meth:`Pipeline.run_batch` keeps the books in one place.
+Around each timed stage (those naming a ``span``: validate, verify,
+apply) it opens the trace span, reads the wall clock once afterwards,
+and records the stage's timing; on a verdict it marks the update
+rejected, records every later timed stage's span as ``skipped``, and
+stops.  Rejections are decisions too: every update is anchored.
 
 :class:`Pipeline` owns the stage sequence and its one driver,
 :meth:`Pipeline.run_batch`: the only code that logs, applies and
@@ -47,67 +57,61 @@ from repro.common.encoding import RawJson, encode_canonical
 from repro.core.outcome import UpdateResult, VerificationOutcome
 from repro.core.routing import BatchAggregateCache, check_constraint
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.signatures import cached_verifier, verify_batch
+from repro.crypto.signatures import verify_batch
 from repro.database.schema import SchemaError
 from repro.database.table import TableError
 from repro.model.constraints import Constraint
 from repro.model.update import Update
 from repro.obs.tracing import Span
 
-# Sentinel distinguishing "provenance not yet checked" from a
-# precomputed verdict of None (= authenticated).
-_UNCHECKED = object()
-
 
 @dataclass
 class UpdateContext:
     """Mutable per-update state threaded through the stage sequence.
 
-    ``mark`` is the chained wall reading: each stage's closing
-    timestamp both ends that stage's timer window and starts the
+    ``mark`` is the chained wall reading: the walk's reading after each
+    timed stage both ends that stage's timer window and starts the
     next one, so tracing and timing add no extra clock reads to the
-    hot path.  ``halted`` short-circuits the remaining pre-anchor
-    stages (every decision, including rejections, is still anchored).
+    hot path.  ``span`` is the open span of the timed stage now
+    running (traced runs only), for the stage to annotate.
     """
 
     update: Update
     now: float = 0.0
     trace: Optional[Span] = None
+    span: Optional[Span] = None
     timings: Dict[str, float] = field(default_factory=dict)
-    auth_failure: object = _UNCHECKED
+    auth_failure: Optional[str] = None
     outcome: Optional[VerificationOutcome] = None
     applied: bool = False
-    halted: bool = False
     routed: Optional[List[Constraint]] = None
     batch_cache: Optional[BatchAggregateCache] = None
     mark: float = 0.0
     sequence: Optional[int] = None
 
 
-def skip_spans(trace: Span, names, at: float) -> None:
-    """Record unreached stages so every trace shows the full
-    validate → verify → apply → anchor shape."""
-    for name in names:
-        trace.child(name, start_time=at).set_status("skipped").end(at)
-
-
 class Stage:
     """One pipeline stage.
 
-    ``run_one`` advances a single :class:`UpdateContext`;
-    ``run_batch`` is the batch-amortized variant and defaults to a
-    pass (stages without a batch precomputation do their work per
-    update inside the driver's walk).  Stages hold no per-update
-    state — everything flows through the context.
+    ``run_one`` advances a single :class:`UpdateContext` and returns
+    its verdict: ``None`` to go on, or the reason the update is
+    rejected.  It neither reads the clock nor rejects the update
+    itself — the walk does both.  ``span`` names the trace span the
+    walk opens around a timed stage, whose timing it records under
+    ``name``; an untimed stage (``span`` None) folds its time into the
+    next timed one.  ``run_batch`` is the batch-amortized variant and
+    defaults to a pass.  Stages hold no per-update state — everything
+    flows through the context.
     """
 
     name = "stage"
+    span: Optional[str] = None
 
     def __init__(self, framework):
         self.framework = framework
 
-    def run_one(self, ctx: UpdateContext) -> None:
-        """Advance one update's context through this stage."""
+    def run_one(self, ctx: UpdateContext) -> Optional[str]:
+        """Advance one update's context; return the verdict."""
         raise NotImplementedError
 
     def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
@@ -121,70 +125,43 @@ class AuthStage(Stage):
     """Step (1): provenance — the signature check on incoming updates."""
 
     name = "authenticate"
+    span = "validate"
 
-    def run_one(self, ctx: UpdateContext) -> None:
-        """Check (or consume the precomputed) provenance verdict; a
-        failure rejects the update before verification."""
-        fw = self.framework
-        update = ctx.update
+    def run_one(self, ctx: UpdateContext) -> Optional[str]:
+        """Reject the update whose provenance ``run_batch`` refused."""
         failure = ctx.auth_failure
-        if failure is _UNCHECKED:
-            failure = None
-            if fw.require_signed_updates:
-                if update.signature is None or update.signer_public_key is None:
-                    failure = "unsigned update"
-                else:
-                    verifier = cached_verifier(
-                        SchnorrGroup.default(), update.signer_public_key
-                    )
-                    if not verifier.verify(update.body_bytes(),
-                                           update.signature):
-                        failure = "bad signature"
-        t_auth = fw._wall.now()
-        ctx.timings["authenticate"] = t_auth - ctx.mark
-        if ctx.trace is not None:
-            vspan = ctx.trace.child("validate", start_time=ctx.mark)
-            if failure is not None:
-                vspan.set_status("error").set_attribute("reason", failure)
-            vspan.end(t_auth)
-        ctx.mark = t_auth
         if failure is not None:
-            if ctx.trace is not None:
-                skip_spans(ctx.trace, ("verify", "apply"), at=t_auth)
-            update.mark_rejected(failure)
+            if ctx.span is not None:
+                ctx.span.set_attribute("reason", failure)
             ctx.outcome = VerificationOutcome(
                 accepted=False, engine="framework-auth",
                 failed_constraint=failure,
             )
-            ctx.halted = True
+        return failure
 
     def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
-        """Batched provenance: verify all signatures up front with the
-        random-linear-combination batch check (workers pinpoint bad
-        signatures on failure).  Stores one verdict per context;
-        failure reasons match the per-update path exactly."""
+        """Decide every update's provenance up front: one
+        random-linear-combination check over the batch's signatures
+        (a lone signature gets the cached per-key verifier, and workers
+        pinpoint bad signatures on failure)."""
         fw = self.framework
-        if not (fw.require_signed_updates and len(ctxs) > 1):
+        if not fw.require_signed_updates:
             return
         with fw.metrics.timed("pipeline.auth_batch"):
-            failures: List[Optional[str]] = [None] * len(ctxs)
-            items, positions = [], []
-            for index, ctx in enumerate(ctxs):
+            items, signed = [], []
+            for ctx in ctxs:
                 update = ctx.update
                 if update.signature is None or update.signer_public_key is None:
-                    failures[index] = "unsigned update"
+                    ctx.auth_failure = "unsigned update"
                 else:
                     items.append((update.signer_public_key,
                                   update.body_bytes(), update.signature))
-                    positions.append(index)
-            if items:
-                verdicts = verify_batch(items, group=SchnorrGroup.default(),
-                                        executor=executor)
-                for position, ok in zip(positions, verdicts):
-                    if not ok:
-                        failures[position] = "bad signature"
-        for ctx, failure in zip(ctxs, failures):
-            ctx.auth_failure = failure
+                    signed.append(ctx)
+            verdicts = verify_batch(items, group=SchnorrGroup.default(),
+                                    executor=executor)
+            for ctx, ok in zip(signed, verdicts):
+                if not ok:
+                    ctx.auth_failure = "bad signature"
 
 
 class RouteStage(Stage):
@@ -197,62 +174,51 @@ class RouteStage(Stage):
 
     name = "route"
 
-    def run_one(self, ctx: UpdateContext) -> None:
+    def run_one(self, ctx: UpdateContext) -> Optional[str]:
         """Resolve the constraints applicable to the update's table."""
         fw = self.framework
         if fw.engine is None:
             ctx.routed = fw._routed_constraints(ctx.update.table)
+        return None
 
 
 class VerifyStage(Stage):
     """Step (2): verification against constraints and regulations."""
 
     name = "verify"
+    span = "verify"
 
-    def run_one(self, ctx: UpdateContext) -> None:
+    def run_one(self, ctx: UpdateContext) -> Optional[str]:
         """Verify one update via the engine (or the plaintext check
-        over the routed constraints); rejections halt the walk."""
+        over the routed constraints); a failed constraint rejects."""
         fw = self.framework
-        update = ctx.update
-        trace = ctx.trace
-        verify_span = None
-        if trace is not None:
-            verify_span = trace.child("verify", start_time=ctx.mark)
-            if fw.engine is not None and hasattr(fw.engine, "bind_span"):
+        engine = fw.engine
+        span = ctx.span
+        if engine is not None:
+            if span is not None:
                 # Engine crypto spans (Paillier encrypt/decrypt) nest here.
-                fw.engine.bind_span(verify_span)
-        if fw.engine is not None:
-            outcome = fw.engine.verify(update, ctx.now)
+                engine.bind_span(span)
+            outcome = engine.verify(ctx.update, ctx.now)
         else:
             outcome = self._check_routed(ctx)
-        t_verify = fw._wall.now()
-        ctx.timings["verify"] = t_verify - ctx.mark
-        if verify_span is not None:
-            verify_span.set_attribute("engine", outcome.engine)
+        ctx.outcome = outcome
+        if span is not None:
+            span.set_attribute("engine", outcome.engine)
             if not outcome.accepted:
-                verify_span.set_status("error")
-                verify_span.set_attribute(
-                    "failed_constraint", outcome.failed_constraint
-                )
-            verify_span.end(t_verify)
+                span.set_attribute("failed_constraint",
+                                   outcome.failed_constraint)
             fw.tracer.event(
                 "constraint_verdict",
-                timestamp=t_verify,
-                trace_id=trace.trace_id,
-                update_id=update.update_id,
+                trace_id=span.trace_id,
+                update_id=ctx.update.update_id,
                 accepted=outcome.accepted,
                 constraint_ids=list(outcome.constraint_ids),
                 failed_constraint=outcome.failed_constraint,
             )
-        ctx.mark = t_verify
-        ctx.outcome = outcome
         if not outcome.accepted:
-            update.mark_rejected(outcome.failed_constraint or "constraint")
-            if trace is not None:
-                skip_spans(trace, ("apply",), at=t_verify)
-            ctx.halted = True
-            return
-        update.mark_verified()
+            return outcome.failed_constraint or "constraint"
+        ctx.update.mark_verified()
+        return None
 
     def _check_routed(self, ctx: UpdateContext) -> VerificationOutcome:
         fw = self.framework
@@ -277,8 +243,7 @@ class VerifyStage(Stage):
             for ctx in ctxs:
                 ctx.batch_cache = cache
             return
-        if hasattr(engine, "begin_batch"):
-            engine.begin_batch(len(ctxs))
+        engine.begin_batch(len(ctxs))
         if hasattr(engine, "prepare_batch"):
             # Timed separately: prepared work happens before the
             # per-update stage timers, so stage totals alone would
@@ -291,7 +256,7 @@ class VerifyStage(Stage):
         """Release the engine's batch state (runs even on a crash
         mid-walk, so a failed batch never leaks cache entries)."""
         engine = self.framework.engine
-        if engine is not None and hasattr(engine, "end_batch"):
+        if engine is not None:
             engine.end_batch()
 
 
@@ -309,41 +274,33 @@ class DurabilityStage(Stage):
 
     name = "durability"
 
-    def run_one(self, ctx: UpdateContext) -> None:
+    def run_one(self, ctx: UpdateContext) -> Optional[str]:
         """Log the verified update ahead of its apply."""
         fw = self.framework
         if fw._wal is not None:
             fw._wal.append_update(fw._wal_update_record(ctx.update, ctx.now))
             if fw._crash_after is not None:
                 fw._crash_point("wal_update")
+        return None
 
-    def commit(self, payloads: List[dict], digest=None,
-               encoded_payloads: Optional[List[str]] = None) -> None:
+    def commit(self, encoded_payloads: List[str], digest=None) -> None:
         """Write the batch's anchor marker (the group-commit fsync that
         makes the whole batch durable), then maybe checkpoint.
 
-        ``encoded_payloads`` carries the payloads' canonical JSON when
-        the anchor stage already encoded them for the Merkle leaves;
-        the WAL frame then splices those cached fragments instead of
-        re-serializing every payload — byte-identical frames, encoded
-        once.
+        ``encoded_payloads`` is the payloads' canonical JSON, which the
+        anchor stage already encoded for the Merkle leaves: the WAL
+        frame splices those fragments instead of re-serializing every
+        payload — byte-identical frames, encoded once.
         """
         fw = self.framework
         if fw._crash_after is not None:
             fw._crash_point("anchor_append")
         digest = digest if digest is not None else fw.ledger.digest()
-        if encoded_payloads is None:
-            body: List = payloads
-        else:
-            body = [RawJson(encoded) for encoded in encoded_payloads]
-        fw._wal.append_anchor(
-            {
-                "payloads": body,
-                "size": digest.size,
-                "root": digest.root.hex(),
-            },
-            sync=fw.durability.sync_anchors,
-        )
+        fw._wal.append_anchor({
+            "payloads": [RawJson(encoded) for encoded in encoded_payloads],
+            "size": digest.size,
+            "root": digest.root.hex(),
+        })
         if fw._crash_after is not None:
             fw._crash_point("anchor_marker")
         # Remember what was just made durable: /readyz checks the live
@@ -351,7 +308,7 @@ class DurabilityStage(Stage):
         fw._last_anchored_digest = digest
         if fw._snapshotter is not None:
             taken = fw._snapshotter.maybe_take(
-                fw, fw._wal.last_lsn, len(payloads)
+                fw, fw._wal.last_lsn, len(encoded_payloads)
             )
             if taken is not None:
                 fw._wal.prune(fw._wal.last_lsn)
@@ -366,25 +323,18 @@ class ApplyStage(Stage):
     """
 
     name = "apply"
+    span = "apply"
 
-    def run_one(self, ctx: UpdateContext) -> None:
+    def run_one(self, ctx: UpdateContext) -> Optional[str]:
         """Apply one verified update; a failure becomes a rejection."""
         fw = self.framework
         update = ctx.update
-        trace = ctx.trace
         try:
             fw._apply(update)
         except (TableError, SchemaError) as exc:
-            t_apply = fw._wall.now()
-            ctx.timings["apply"] = t_apply - ctx.mark
-            if trace is not None:
-                trace.child("apply", start_time=ctx.mark) \
-                    .set_status("error") \
-                    .set_attribute("reason", str(exc)) \
-                    .end(t_apply)
-            update.mark_rejected(f"apply failed: {exc}")
-            if fw.engine is not None and hasattr(fw.engine,
-                                                 "note_apply_failed"):
+            if ctx.span is not None:
+                ctx.span.set_attribute("reason", str(exc))
+            if fw.engine is not None:
                 fw.engine.note_apply_failed(update)
             prior = ctx.outcome
             ctx.outcome = VerificationOutcome(
@@ -392,22 +342,16 @@ class ApplyStage(Stage):
                 constraint_ids=prior.constraint_ids,
                 failed_constraint="apply-failure",
             )
-            ctx.mark = t_apply
-            ctx.halted = True
-            return
+            return f"apply failed: {exc}"
         update.mark_applied()
-        t_apply = fw._wall.now()
-        ctx.timings["apply"] = t_apply - ctx.mark
-        if trace is not None:
-            trace.child("apply", start_time=ctx.mark).end(t_apply)
-        ctx.mark = t_apply
         ctx.applied = True
         if ctx.batch_cache is not None:
             ctx.batch_cache.note_applied(update)
-        if fw.engine is not None and hasattr(fw.engine, "note_applied"):
+        if fw.engine is not None:
             fw.engine.note_applied(update, ctx.now)
         if fw._crash_after is not None:
             fw._crash_point("apply")
+        return None
 
 
 class AnchorStage(Stage):
@@ -421,7 +365,7 @@ class AnchorStage(Stage):
 
     def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
         """Amortized anchoring: one Merkle extension for the whole
-        batch (halted contexts included — rejections are decisions
+        batch (rejected updates included — rejections are decisions
         too) and one anchor marker, with the per-entry sequence numbers
         and inclusion proofs one append per decision would give."""
         fw = self.framework
@@ -440,8 +384,7 @@ class AnchorStage(Stage):
         anchor_share = anchor_elapsed / len(ctxs)
         batch_digest = fw.ledger.digest() if tracing else None
         if fw._wal is not None:
-            self.durability.commit(payloads, digest=batch_digest,
-                                   encoded_payloads=encoded)
+            self.durability.commit(encoded, digest=batch_digest)
         for ctx, entry in zip(ctxs, entries):
             ctx.timings["anchor"] = anchor_share
             ctx.sequence = entry.sequence
@@ -506,17 +449,15 @@ class Pipeline:
         self.verify.run_batch(ctxs, executor)
         try:
             for ctx in ctxs:
-                self._begin(ctx)
-                for stage in self.walk:
-                    stage.run_one(ctx)
-                    if ctx.halted:
-                        break
+                self._walk(ctx)
         finally:
             self.verify.finish_batch(ctxs)
         self.anchor.run_batch(ctxs, executor)
         return [self._record(ctx) for ctx in ctxs]
 
-    def _begin(self, ctx: UpdateContext) -> None:
+    def _walk(self, ctx: UpdateContext) -> None:
+        """One update through the pre-anchor stages, keeping the books
+        each stage's verdict implies (see the module docstring)."""
         fw = self.framework
         if fw.tracer.enabled:
             ctx.trace = fw.tracer.start_trace(
@@ -530,6 +471,29 @@ class Pipeline:
             )
         ctx.now = fw.clock.now()
         ctx.mark = fw._wall.now()
+        trace = ctx.trace
+        for at, stage in enumerate(self.walk):
+            if stage.span is None:
+                verdict = stage.run_one(ctx)
+            else:
+                if trace is not None:
+                    ctx.span = trace.child(stage.span, start_time=ctx.mark)
+                verdict = stage.run_one(ctx)
+                end = fw._wall.now()
+                ctx.timings[stage.name] = end - ctx.mark
+                ctx.mark = end
+                if trace is not None:
+                    if verdict is not None:
+                        ctx.span.set_status("error")
+                    ctx.span.end(end)
+            if verdict is not None:
+                ctx.update.mark_rejected(verdict)
+                if trace is not None:
+                    for later in self.walk[at + 1:]:
+                        if later.span is not None:
+                            trace.child(later.span, start_time=ctx.mark) \
+                                .set_status("skipped").end(ctx.mark)
+                return
 
     def _record(self, ctx: UpdateContext) -> UpdateResult:
         fw = self.framework

@@ -35,7 +35,7 @@ from repro.core.routing import (
     ConstraintRouter,
     check_constraint,
 )
-from repro.crypto.commitments import PedersenCommitter
+from repro.crypto.commitments import PedersenCommitment, PedersenCommitter
 from repro.crypto.paillier import (
     PaillierKeyPair,
     encrypt_batch,
@@ -109,19 +109,22 @@ class BaseVerifier:
         apply everywhere)."""
         return self._router.route(update.table)
 
+    def _group_key(self, constraint: Constraint, update: Update) -> tuple:
+        """The aggregate group ``update`` falls in under ``constraint``."""
+        return tuple(
+            update.payload.get(col) for col in constraint.aggregate.match_columns
+        )
+
     def verify(self, update: Update, now: float) -> VerificationOutcome:
         raise NotImplementedError
 
-    def verify_many(self, updates: Sequence[Update], now: float
-                    ) -> List[VerificationOutcome]:
-        """Verify a batch in order (engines are stateful; order matters)."""
-        return [self.verify(update, now) for update in updates]
-
     # -- batch lifecycle hooks (no-ops by default) -----------------------
     #
-    # ``PReVer.submit_many`` brackets a batch with begin/end and calls
-    # ``note_applied`` after each successful database apply, so engines
-    # that read the shared databases can keep incremental state.
+    # The pipeline calls every hook on this class on whatever engine it
+    # holds, without probing for it: it brackets a batch with begin/end
+    # and calls ``note_applied`` after each successful database apply,
+    # so engines that read the shared databases can keep incremental
+    # state.
 
     def begin_batch(self, expected: int = 0) -> None:
         pass
@@ -166,10 +169,10 @@ class BaseVerifier:
 
     # -- durability hooks (see repro.durability) --------------------------
     #
-    # Engines whose verification state is *not* derivable from the
-    # shared databases (e.g. Paillier's ciphertext aggregates) override
-    # these three so snapshots capture the state and WAL replay rebuilds
-    # it.  The defaults declare "nothing beyond the databases".
+    # Engines that keep verification state of their own (Paillier's
+    # ciphertext aggregates, ZKP's committed totals) override these
+    # three so snapshots capture the state and WAL replay rebuilds it.
+    # The defaults declare "nothing beyond the databases".
 
     def durable_state(self) -> Optional[dict]:
         """Engine state a snapshot must persist (None = nothing —
@@ -286,11 +289,6 @@ class PaillierVerifier(BaseVerifier):
         # under a parallel executor, drained by :meth:`_check_one`.
         self._prepared: Dict[tuple, object] = {}
 
-    def _group_key(self, constraint: Constraint, update: Update) -> tuple:
-        return tuple(
-            update.payload.get(col) for col in constraint.aggregate.match_columns
-        )
-
     def _encrypt_contribution(self, constraint: Constraint, update: Update):
         contribution = constraint.aggregate.contribution_of(update.payload)
         fixed = int(round(contribution * self.scale))
@@ -393,9 +391,6 @@ class PaillierVerifier(BaseVerifier):
             plaintext / self.scale, float(constraint.bound)
         )
         return [(aggregates, group, proposed)] if accepted else None
-
-    def apply_to_store(self, update: Update) -> None:
-        """Hook for contexts that also maintain an encrypted table."""
 
     # -- durability hooks --------------------------------------------------
 
@@ -525,9 +520,7 @@ class ZKPVerifier(BaseVerifier):
                    update: Update) -> Optional[List[tuple]]:
         """The manager- and owner-side ``(store, group, value)`` entries
         this constraint would write, or None when it rejects."""
-        group = tuple(
-            update.payload.get(col) for col in constraint.aggregate.match_columns
-        )
+        group = self._group_key(constraint, update)
         contribution = int(constraint.aggregate.contribution_of(update.payload))
         if contribution < 0:
             raise EngineError("range proofs need non-negative contributions")
@@ -569,6 +562,69 @@ class ZKPVerifier(BaseVerifier):
             (self._commitments[constraint.constraint_id], group, commitment),
             (secrets, group, (new_total, randomness)),
         ]
+
+    # -- durability hooks --------------------------------------------------
+
+    def _fingerprint(self) -> list:
+        group = self.committer.group
+        return [group.p, group.g, self.committer.h]
+
+    def durable_state(self) -> dict:
+        """Per group: the running total, its commitment randomness and
+        the commitment value.
+
+        The snapshot already carries the plaintext table rows these
+        totals sum, so this adds no new kind of data to it.  The
+        committer's group and ``h`` are stored to fail closed on a
+        mismatch, as Paillier does on ``n``.
+        """
+        return {
+            "committer": self._fingerprint(),
+            "groups": {
+                constraint_id: [
+                    [list(group), total, randomness,
+                     self._commitments[constraint_id][group].value]
+                    for group, (total, randomness) in sorted(
+                        secrets.items(), key=lambda item: repr(item[0])
+                    )
+                ]
+                for constraint_id, secrets in self._secret_state.items()
+            },
+        }
+
+    def restore_durable_state(self, state: Optional[dict]) -> None:
+        """Rebuild both sides' per-group state from :meth:`durable_state`."""
+        if state is None:
+            return
+        if state["committer"] != self._fingerprint():
+            raise EngineError(
+                "snapshot was taken under a different Pedersen committer"
+            )
+        for constraint_id, rows in state["groups"].items():
+            if constraint_id not in self._secret_state:
+                raise EngineError(
+                    f"snapshot totals name unknown constraint "
+                    f"{constraint_id!r}"
+                )
+            secrets = self._secret_state[constraint_id]
+            commitments = self._commitments[constraint_id]
+            for group, total, randomness, value in rows:
+                secrets[tuple(group)] = (total, randomness)
+                commitments[tuple(group)] = PedersenCommitment(value)
+
+    def replay_applied(self, update: Update, now: float) -> None:
+        """Fold a replayed update into the owner-side totals and
+        recommit each — no proof: the accept decision was already made
+        and anchored, and decisions depend only on the totals, so the
+        fresh commitment randomness changes nothing observable."""
+        for constraint in self.constraints_for(update):
+            group = self._group_key(constraint, update)
+            secrets = self._secret_state[constraint.constraint_id]
+            total = secrets.get(group, (0, 0))[0] + int(
+                constraint.aggregate.contribution_of(update.payload))
+            commitment, randomness = self.committer.commit(total)
+            secrets[group] = (total, randomness)
+            self._commitments[constraint.constraint_id][group] = commitment
 
 
 class EnclaveVerifier(BaseVerifier):

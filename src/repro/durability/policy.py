@@ -56,14 +56,13 @@ class Durability:
     records are only *flushed* (surviving a process kill but not a
     power cut) and the fsync happens once per batch at the anchor
     marker — the group-commit default; N > 0 additionally fsyncs every
-    N update records.  ``sync_anchors`` controls the anchor-marker
-    fsync itself and should stay on outside of benchmarks.
+    N update records.  The anchor marker itself is always fsynced: it is
+    what makes a batch durable.
     """
 
     mode: str = "off"
     directory: Optional[str] = None
     fsync_every: int = 0
-    sync_anchors: bool = True
     snapshot_every: int = 256
     keep_snapshots: int = 2
     segment_max_bytes: int = 4 * 1024 * 1024
@@ -112,10 +111,10 @@ class Durability:
 
     @classmethod
     def serving(cls, directory: str, **overrides) -> "Durability":
-        """The serving-tier preset: WAL with pure group commit.
+        """The serving-tier preset, an alias of :meth:`wal`: the
+        defaults already give pure group commit.
 
-        ``fsync_every=0`` + ``sync_anchors=True`` means each batch the
-        serving tier coalesces (see
+        Each batch the serving tier coalesces (see
         :class:`repro.serve.scheduler.BatchingScheduler`) is made
         durable by exactly **one** fsync, at its anchor marker — the
         server's ``batch_window`` *is* the group-commit window.  Update
@@ -123,9 +122,7 @@ class Durability:
         individually fsynced; widen the batch window to amortize the
         anchor fsync over more updates.
         """
-        overrides.setdefault("fsync_every", 0)
-        overrides.setdefault("sync_anchors", True)
-        return cls(mode="wal", directory=directory, **overrides)
+        return cls.wal(directory, **overrides)
 
     def with_crash_after(self, point: Optional[str]) -> "Durability":
         """A copy of this policy crashing at ``point`` (None clears)."""

@@ -181,7 +181,7 @@ class RecoveryManager:
                 update.mark_verified()
                 framework._apply(update)
                 update.mark_applied()
-                if engine is not None and hasattr(engine, "replay_applied"):
+                if engine is not None:
                     engine.replay_applied(update, now)
                 report.replayed_updates += 1
             framework._submitted_count += 1

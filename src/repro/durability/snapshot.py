@@ -1,11 +1,11 @@
 """Checkpointing: atomic snapshots of the full framework state.
 
 A snapshot captures, at a WAL position ``lsn``: every database table's
-rows, the ledger's entries + root, the
-engine's durable aggregate state (ciphertext values for Paillier —
-never decrypted plaintext), and the pipeline counters with the index
-of which ledger entries are decisions.  Recovery loads
-the newest valid snapshot and replays only WAL records after its LSN.
+rows, the ledger's entries + root, the engine's durable aggregate state
+(ciphertext values for Paillier — never decrypted plaintext; totals and
+their commitments for ZKP), and the pipeline counters with the index of
+which ledger entries are decisions.  Recovery loads the newest valid
+snapshot and replays only WAL records after its LSN.
 
 Files are written atomically — serialize to ``<name>.tmp``, fsync,
 ``os.replace`` into place, fsync the directory — so a crash mid-
@@ -55,10 +55,7 @@ def capture_state(framework, wal_lsn: int) -> dict:
     """Serialize a framework's durable state as of WAL position
     ``wal_lsn`` (everything recovery needs; nothing secret — key
     material is the operator's to re-supply)."""
-    engine_state = None
     engine = framework.engine
-    if engine is not None and hasattr(engine, "durable_state"):
-        engine_state = engine.durable_state()
     return {
         "version": SNAPSHOT_VERSION,
         "wal_lsn": wal_lsn,
@@ -76,7 +73,7 @@ def capture_state(framework, wal_lsn: int) -> dict:
             for database in framework.databases
         },
         "ledger": framework.ledger.snapshot_state(),
-        "engine": engine_state,
+        "engine": engine.durable_state() if engine is not None else None,
     }
 
 
@@ -234,12 +231,11 @@ def restore_state(framework, state: dict) -> None:
                 table.upsert(row)
     framework.ledger.restore_state(state["ledger"])
     engine = framework.engine
-    if engine is not None and hasattr(engine, "restore_durable_state"):
+    if engine is not None:
         engine.restore_durable_state(state["engine"])
     elif state["engine"] is not None:
         raise DurabilityError(
-            "snapshot carries engine state but the framework engine "
-            "cannot restore it"
+            "snapshot carries engine state but the framework has no engine"
         )
     counters = state["counters"]
     framework._submitted_count = counters["submitted"]

@@ -207,12 +207,11 @@ class WriteAheadLog:
             self.sync()
         return lsn
 
-    def append_anchor(self, data: dict, sync: bool = True) -> int:
-        """Log a batch-anchor marker; ``sync`` fsyncs it (group commit:
-        this is the one fsync that makes the whole batch durable)."""
+    def append_anchor(self, data: dict) -> int:
+        """Log a batch-anchor marker and fsync it (group commit: this is
+        the one fsync that makes the whole batch durable)."""
         lsn = self._append("anchor", data)
-        if sync:
-            self.sync()
+        self.sync()
         return lsn
 
     def _append(self, record_type: str, data: dict) -> int:

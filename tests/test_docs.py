@@ -1,12 +1,13 @@
 """The documents cannot drift from the tree.
 
-Three pins, in the spirit of the docs/PROTOCOL.md byte pins in
+Four pins, in the spirit of the docs/PROTOCOL.md byte pins in
 ``tests/test_serve_protocol.py``: every script, test, result file or
 ``src/repro`` module a document cites exists (and every
 ``tests/x.py::name`` / ``package/module.py::Name`` in it), every
 ``REPRO_*`` environment variable a document or example names is one
 the code reads (and docs/OPERATIONS.md catalogues every one it reads),
-and the one end-to-end numbers table (EXPERIMENTS.md) is exactly the
+every ``Durability`` keyword a document shows is a field of it, and
+the one end-to-end numbers table (EXPERIMENTS.md) is exactly the
 rendering of the committed ``BENCH_e2e.json``.
 """
 
@@ -89,6 +90,38 @@ def test_environment_knobs_are_read_and_catalogued():
     uncatalogued = sorted(read - set(ENV_KNOB.findall(operations)))
     assert not uncatalogued, "docs/OPERATIONS.md does not name: " + \
         ", ".join(uncatalogued)
+
+#: ``Durability(...)`` / ``Durability.wal(...)`` calls (one level of
+#: nested parentheses), and the keywords passed in them.
+DURABILITY_CALL = re.compile(
+    r"\bDurability(?:\.\w+)?\(((?:[^()]|\([^()]*\))*)\)")
+KEYWORD = re.compile(r"\b(\w+)=")
+#: A docs/OPERATIONS.md durability-list item's leading backticked names.
+KNOB_ITEM = re.compile(r"^- ((?:`[^`]+`(?:, )?)+)", re.M)
+
+
+def test_durability_knobs_named_in_docs_exist():
+    import dataclasses
+
+    from repro.durability.policy import Durability
+
+    fields = {field.name for field in dataclasses.fields(Durability)}
+    shown = set()
+    for document in (ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))):
+        text = document.read_text(encoding="utf-8")
+        shown |= {(document.name, name)
+                  for call in DURABILITY_CALL.findall(text)
+                  for name in KEYWORD.findall(call)}
+    operations = (ROOT / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    section = operations.split("## Durability modes", 1)[1].split("\n## ", 1)[0]
+    listed = {name for item in KNOB_ITEM.findall(section)
+              for name in re.findall(r"`(\w+)", item)}
+    assert listed, "docs/OPERATIONS.md lists no durability knobs"
+    shown |= {("OPERATIONS.md", name) for name in listed}
+    unknown = sorted(f"{document}: {name}" for document, name in shown
+                     if name not in fields)
+    assert not unknown, "documents show Durability knobs it does not have: " \
+        + ", ".join(unknown)
 
 
 def test_experiments_medians_table_is_the_rendering_of_bench_e2e():

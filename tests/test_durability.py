@@ -221,7 +221,7 @@ def test_wal_fsync_batching_counts(tmp_path):
         wal.append_update({"i": i})
     # 5 updates at fsync_every=2 -> fsyncs after the 2nd and 4th.
     assert wal.metrics.counter_value("durability.fsyncs") == 2
-    wal.append_anchor({"payloads": [], "size": 0, "root": ""}, sync=True)
+    wal.append_anchor({"payloads": [], "size": 0, "root": ""})
     assert wal.metrics.counter_value("durability.fsyncs") == 3
     wal.close()
 
@@ -473,10 +473,17 @@ def assert_equivalent(recovered, reference, database, reference_db):
     assert recovered.acceptance_rate() == reference.acceptance_rate()
 
 
-@pytest.mark.parametrize("engine", ["plaintext", "paillier"])
-def test_recovery_equivalence(tmp_path, engine):
+@pytest.mark.parametrize("engine, mode", [
+    pytest.param(engine, mode, id=engine if mode == "wal+snapshot"
+                 else f"{engine}-{mode}")
+    for mode in ("wal+snapshot", "wal")
+    for engine in ("plaintext", "paillier", "zkp")
+])
+def test_recovery_equivalence(tmp_path, engine, mode):
     """Crash + recover converges on the uninterrupted run's state,
-    including future decisions (the aggregates 'remember' correctly)."""
+    including future decisions (the aggregates 'remember' correctly),
+    whether the engine state comes back from a snapshot plus replay or
+    from WAL replay alone."""
     bound = 100
 
     # Reference: uninterrupted, durability off.
@@ -485,9 +492,9 @@ def test_recovery_equivalence(tmp_path, engine):
         assert reference.submit(make_update(i, co2=30)).applied
 
     # Durable run over the same updates, then an unclean stop.
-    durability = Durability.wal_with_snapshots(
-        durable_dir(tmp_path), snapshot_every=2
-    )
+    directory = durable_dir(tmp_path)
+    durability = (Durability.wal(directory) if mode == "wal" else
+                  Durability.wal_with_snapshots(directory, snapshot_every=2))
     durable, _ = build(engine=engine, durability=durability, bound=bound)
     for i in range(3):
         durable.submit(make_update(i, co2=30))

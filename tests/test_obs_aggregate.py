@@ -174,12 +174,9 @@ def test_unbound_executor_returns_bare_results():
 def test_framework_run_under_process_executor_surfaces_workers():
     """An end-to-end batch under the process executor: the merged
     /metrics scrape shows per-worker sections (acceptance criterion)."""
-    framework = build_plaintext()
     executor = ParallelExecutor(workers=2, min_items=2)
-    framework.executor = executor
-    executor.bind_metrics(framework.metrics)
-    stream = golden_stream()
-    framework.submit_many(stream, executor=executor)
+    framework = build_plaintext(executor=executor)
+    framework.submit_many(golden_stream())
     # The plaintext engine's parallel stage is batch Schnorr auth,
     # which only fans out for signed batches; drive the executor
     # directly through the framework's registry to model engine work.

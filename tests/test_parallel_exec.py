@@ -282,18 +282,6 @@ def test_signed_batch_parallel_matches_serial():
         serial_fw, parallel_fw, serial_results, parallel_results)
 
 
-def test_per_batch_executor_override():
-    serial_fw = single_private_database(
-        make_db("a"), [cap_constraint()], engine="paillier")
-    override_fw = single_private_database(
-        make_db("b"), [cap_constraint()], engine="paillier")
-    serial_results = serial_fw.submit_many(mixed_stream())
-    override_results = override_fw.submit_many(
-        mixed_stream(), executor=small_parallel())
-    assert_frameworks_equivalent(
-        serial_fw, override_fw, serial_results, override_results)
-
-
 def test_framework_traces_parallel_spans():
     tracer = Tracer()
     framework = single_private_database(

@@ -104,8 +104,9 @@ def golden_stream():
     return stream
 
 
-def build_plaintext(durability=None, tracer=None):
-    framework = PReVer([make_db()], durability=durability, tracer=tracer)
+def build_plaintext(durability=None, tracer=None, executor=None):
+    framework = PReVer([make_db()], durability=durability, tracer=tracer,
+                       executor=executor)
     for constraint in pinned_constraints():
         framework.register_constraint(constraint)
     return framework
@@ -289,6 +290,84 @@ def test_walk_that_raises_releases_the_engine_batch_state(tmp_path):
     golden = GOLDEN[("plaintext", "batched")]
     assert framework.ledger.digest().root.hex() == golden["root"]
     assert wal_sha256(str(tmp_path / "fresh")) == golden["wal_sha256"]
+
+
+# -- the four ways out of the walk ---------------------------------------------
+
+#: Per decision kind: the rejection reason, ``outcome.failed_constraint``,
+#: the stages that carry a timing, and each stage span's status with its
+#: ``reason`` / ``failed_constraint`` attributes.
+WAYS_OUT = {
+    "accepted": (None, None, {"authenticate", "verify", "apply", "anchor"}, {
+        "validate": ("ok", {}), "verify": ("ok", {}),
+        "apply": ("ok", {}), "anchor": ("ok", {}),
+    }),
+    "unsigned": ("unsigned update", "unsigned update",
+                 {"authenticate", "anchor"}, {
+        "validate": ("error", {"reason": "unsigned update"}),
+        "verify": ("skipped", {}), "apply": ("skipped", {}),
+        "anchor": ("ok", {}),
+    }),
+    "constraint": ("cst-positive", "cst-positive",
+                   {"authenticate", "verify", "anchor"}, {
+        "validate": ("ok", {}),
+        "verify": ("error", {"failed_constraint": "cst-positive"}),
+        "apply": ("skipped", {}), "anchor": ("ok", {}),
+    }),
+    "apply-failure": ("apply failed: duplicate key (0,) in table 'events'",
+                      "apply-failure",
+                      {"authenticate", "verify", "apply", "anchor"}, {
+        "validate": ("ok", {}), "verify": ("ok", {}),
+        "apply": ("error", {"reason": "duplicate key (0,) in table 'events'"}),
+        "anchor": ("ok", {}),
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", list(WAYS_OUT))
+def test_each_decision_kind_leaves_the_walk_the_same_way(kind):
+    """Every way an update leaves the stage walk — accepted, rejected at
+    authentication, rejected by a constraint, or refused by the database
+    — leaves the same reason, timings, stage timers and stage spans."""
+    from repro.model.participants import DataProducer
+
+    tracer = Tracer()
+    framework = build_plaintext(tracer=tracer)
+    framework.require_signed_updates = True
+    producer = DataProducer("pinned-producer")
+
+    def update(i, amount, signed=True):
+        built = Update(table="events", operation=UpdateOperation.INSERT,
+                       payload={"id": i, "who": "alice", "amount": amount},
+                       update_id=f"w-{i}-{amount}")
+        return built.sign_with(producer) if signed else built
+
+    if kind == "apply-failure":
+        assert framework.submit(update(0, 5)).applied
+    stages = ("authenticate", "verify", "apply", "anchor")
+    before = {s: framework.metrics.timer(f"pipeline.stage.{s}").count
+              for s in stages}
+    result = framework.submit(update(*{
+        "accepted": (1, 5),
+        "unsigned": (1, 5, False),
+        "constraint": (1, -5),
+        "apply-failure": (0, 7),
+    }[kind]))
+
+    reason, failed, timed, spans = WAYS_OUT[kind]
+    assert result.update.rejection_reason == reason
+    assert result.outcome.failed_constraint == failed
+    assert result.applied is (kind == "accepted")
+    assert set(result.stage_timings) == timed
+    assert {s: framework.metrics.timer(f"pipeline.stage.{s}").count
+            - before[s] for s in stages} == {
+        s: int(s in timed) for s in stages}
+    by_name = {span.name: span for span in tracer.traces()[result.trace_id]}
+    assert {name: (by_name[name].status,
+                   {key: value for key, value in by_name[name].attributes.items()
+                    if key in ("reason", "failed_constraint")})
+            for name in spans} == spans
+    assert by_name["update"].status == ("ok" if result.applied else "error")
 
 
 # -- traced runs: structural equivalence -------------------------------------
