@@ -40,6 +40,12 @@ class ProtocolError(PReVerError):
     received a message that violates its state machine."""
 
 
+class LogCompactedError(ProtocolError):
+    """A replicated-log read asked for decided entries that compaction
+    already released (every replica that could need them applied them);
+    a replica that far behind restarts from a peer snapshot instead."""
+
+
 class BudgetExhausted(PReVerError):
     """A differential-privacy budget (or token budget) ran out."""
 

@@ -41,18 +41,29 @@ Consensus values may be decided *twice* under message loss (a
 retransmitted command lands in a second slot) and PBFT view changes
 fill gaps with no-ops; the driver de-duplicates by proposal key and
 filters protocol filler, so consumers always see each proposed batch
-exactly once, in one agreed order.  Observability: every driver
+exactly once, in one agreed order.  Because the driver proposes one
+batch at a time, de-duplication needs no per-batch memory: a proposal
+whose key counter is not above the highest one decided is a repeat.
+
+The log is bounded: :meth:`ReplicationDriver.compact` releases every
+decided batch below a watermark the consumer supplies (a
+:class:`~repro.core.replicated.ReplicatedShard` passes the lowest
+offset any replica may still replay from), down through the cluster's
+per-slot state, so decided batches live only between "decided" and
+"applied everywhere".  Observability: every driver
 records ``consensus.propose`` / ``consensus.decide`` timers, proposed
 and decided counters, and a ``consensus.committed_lag`` gauge into the
 registry it is bound to (exported via the PR 2 /metrics plane), and
 emits a ``consensus.propose`` span per batch when a tracer is bound.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.clock import WallClock
-from repro.common.errors import ProtocolError
+from repro.common.errors import LogCompactedError, ProtocolError
 from repro.common.ids import make_id
 from repro.net.simnet import SimNetwork, network_profile
 from repro.serve import protocol
@@ -139,8 +150,11 @@ class ReplicationDriver:
       not decide it);
     * :meth:`committed_stream` yields every decided batch past the
       driver's consumption cursor, exactly once, in sequence order;
-    * :meth:`catch_up` re-reads the committed prefix from
-      ``from_sequence`` (for replicas resynchronizing after a crash);
+    * :meth:`catch_up` re-reads the retained log from ``from_sequence``
+      (for replicas resynchronizing after a crash), raising
+      :class:`~repro.common.errors.LogCompactedError` below the
+      compaction watermark;
+    * :meth:`compact` releases delivered batches below a watermark;
     * :meth:`stats` reports ordering throughput/latency for the bench
       harness.
     """
@@ -148,9 +162,8 @@ class ReplicationDriver:
     name = "replication"
 
     def __init__(self):
-        self._log: List[DecidedBatch] = []
-        self._seq_by_key: Dict[str, int] = {}
-        self._raw_cursor = 0     # consumed cluster committed-prefix entries
+        self._log: Deque[DecidedBatch] = deque()  # retained, from _base on
+        self._base = 0           # sequence of _log[0]; below it: released
         self._stream_cursor = 0  # consumer position in the deduped log
         self._proposed = 0
         self._origin = make_id("rep")
@@ -181,7 +194,7 @@ class ReplicationDriver:
 
     def _note_lag(self) -> None:
         if self._gauge_lag is not None:
-            self._gauge_lag.set(len(self._log) - self._stream_cursor)
+            self._gauge_lag.set(self.decided - self._stream_cursor)
 
     # -- payload codecs ---------------------------------------------------
 
@@ -229,14 +242,24 @@ class ReplicationDriver:
             span.end()
         return sequence
 
+    @property
+    def decided(self) -> int:
+        """Batches decided so far (released ones included)."""
+        return self._base + len(self._log)
+
+    @property
+    def base(self) -> int:
+        """The compaction watermark: the first retained sequence."""
+        return self._base
+
     def committed_stream(self) -> Iterator[DecidedBatch]:
         """Yield decided batches this consumer has not seen yet."""
         self._refresh()
-        while self._stream_cursor < len(self._log):
-            batch = self._log[self._stream_cursor]
+        while self._stream_cursor < self.decided:
+            batch = self._log[self._stream_cursor - self._base]
             self._stream_cursor += 1
+            started = self._propose_starts.pop(batch.sequence, None)
             if self._tmr_decide is not None:
-                started = self._propose_starts.pop(batch.sequence, None)
                 if started is not None:
                     self._tmr_decide.record(self._wall.now() - started)
                 self._ctr_decided.add()
@@ -244,19 +267,35 @@ class ReplicationDriver:
             yield batch
 
     def catch_up(self, from_sequence: int = 0) -> List[DecidedBatch]:
-        """The committed prefix from ``from_sequence`` on — the resync
-        path for a replica rejoining after a crash."""
+        """The retained log from ``from_sequence`` on — the resync path
+        for a replica rejoining after a crash."""
         self._refresh()
         if from_sequence < 0:
             raise ProtocolError("catch_up needs a non-negative sequence")
-        return list(self._log[from_sequence:])
+        if from_sequence < self._base:
+            raise LogCompactedError(
+                f"{self.name}: batches below {self._base} are compacted; "
+                f"cannot replay from {from_sequence}"
+            )
+        return list(islice(self._log, from_sequence - self._base, None))
+
+    def compact(self, upto: int) -> int:
+        """Release every delivered batch below sequence ``upto`` (the
+        consumer applied it wherever it could still be needed); returns
+        how many were released.  O(batches released)."""
+        upto = min(upto, self._stream_cursor)
+        released = max(0, upto - self._base)
+        for _ in range(released):
+            self._log.popleft()
+        self._base += released
+        return released
 
     def stats(self) -> dict:
         """Ordering statistics for the bench harness."""
         return {
             "driver": self.name,
             "proposed": self._proposed,
-            "decided": len(self._log),
+            "decided": self.decided,
             "delivered": self._stream_cursor,
         }
 
@@ -290,7 +329,7 @@ class LocalDriver(ReplicationDriver):
         return list(payload["updates"])
 
     def _order(self, key: str, payload) -> int:
-        sequence = len(self._log)
+        sequence = self.decided
         self._log.append(DecidedBatch(sequence, payload))
         return sequence
 
@@ -298,35 +337,43 @@ class LocalDriver(ReplicationDriver):
 class _ClusterDriver(ReplicationDriver):
     """Shared machinery for drivers backed by a simulated cluster.
 
-    Proposals are wrapped as ``{"rep": key, "payload": ...}`` so the
-    committed prefix can be de-duplicated (loss-driven retransmits may
-    decide a command in two slots) and protocol filler (PBFT view
-    change no-ops, equivocation decoys) filtered out.  ``propose``
-    makes up to ``_MAX_ATTEMPTS`` attempts on a lossy network,
-    re-driving stuck slots via :meth:`_recover_pending` between them.
+    Proposals are wrapped as ``{"rep": "<origin>:<counter>", "payload":
+    ...}`` so the committed prefix can be de-duplicated (loss-driven
+    retransmits may decide a command in two slots) and protocol filler
+    (PBFT view change no-ops, equivocation decoys) filtered out.
+    ``propose`` makes up to ``_MAX_ATTEMPTS`` attempts on a lossy
+    network, re-driving stuck slots via :meth:`_recover_pending`
+    between them.  Each retained batch remembers the cluster slot just
+    past it, so :meth:`compact` can release the cluster's slots too.
     """
 
-    # subclasses provide: _submit(wrapped), _run(), _committed_values(),
-    # and optionally _recover_pending().
+    # subclasses provide: _submit(wrapped), _run(), and ``self.cluster``
+    # with committed_since(slot) / compact(slot); optionally
+    # _recover_pending().
+
+    def __init__(self):
+        super().__init__()
+        self._raw_cursor = 0      # next cluster slot to read
+        self._slot_ends: Deque[int] = deque()  # per retained batch
+        self._last_counter = -1   # highest proposal counter decided
 
     def _recover_pending(self) -> None:
         """Hook between retry attempts (e.g. Paxos slot re-drive)."""
 
     def _order(self, key: str, payload) -> int:
         wrapped = {"rep": key, "payload": payload}
+        counter = int(key.rpartition(":")[2])
         for attempt in range(_MAX_ATTEMPTS):
             if attempt > 0:
                 self._recover_pending()
                 self._refresh()
-                sequence = self._seq_by_key.get(key)
-                if sequence is not None:
-                    return sequence
+                if self._last_counter == counter:
+                    return self.decided - 1
             self._submit(wrapped)
             self._run()
             self._refresh()
-            sequence = self._seq_by_key.get(key)
-            if sequence is not None:
-                return sequence
+            if self._last_counter == counter:
+                return self.decided - 1
         raise ProtocolError(
             f"{self.name}: batch {key} not decided after "
             f"{_MAX_ATTEMPTS} attempts"
@@ -340,24 +387,32 @@ class _ClusterDriver(ReplicationDriver):
         return None, None
 
     def _refresh(self) -> None:
-        values = self._committed_values()
-        while self._raw_cursor < len(values):
-            value = values[self._raw_cursor]
+        for value in self.cluster.committed_since(self._raw_cursor):
             self._raw_cursor += 1
             key, payload = self._extract(value)
-            if key is None or key in self._seq_by_key:
+            if key is None:
                 continue
-            sequence = len(self._log)
-            self._seq_by_key[key] = sequence
-            self._log.append(DecidedBatch(sequence, payload))
+            origin, _, counter = key.rpartition(":")
+            # One proposal in flight at a time: a counter at or below
+            # the highest decided one is a retransmit decided again.
+            if origin != self._origin or int(counter) <= self._last_counter:
+                continue
+            self._last_counter = int(counter)
+            self._log.append(DecidedBatch(self.decided, payload))
+            self._slot_ends.append(self._raw_cursor)
+
+    def compact(self, upto: int) -> int:
+        released = super().compact(upto)
+        if released:
+            for _ in range(released - 1):
+                self._slot_ends.popleft()
+            self.cluster.compact(self._slot_ends.popleft())
+        return released
 
     def _submit(self, wrapped: dict) -> None:
         raise NotImplementedError
 
     def _run(self) -> None:
-        raise NotImplementedError
-
-    def _committed_values(self) -> list:
         raise NotImplementedError
 
 
@@ -386,9 +441,6 @@ class PaxosDriver(_ClusterDriver):
 
     def _run(self) -> None:
         self.cluster.run()
-
-    def _committed_values(self) -> list:
-        return self.cluster.committed()
 
     def _recover_pending(self) -> None:
         self.cluster.retry_pending()
@@ -419,9 +471,6 @@ class PbftDriver(_ClusterDriver):
 
     def _run(self) -> None:
         self.cluster.run()
-
-    def _committed_values(self) -> list:
-        return self.cluster.committed()
 
     def stats(self) -> dict:
         out = super().stats()
@@ -459,9 +508,6 @@ class SharperDriver(_ClusterDriver):
 
     def _run(self) -> None:
         self.ledger.run()
-
-    def _committed_values(self) -> list:
-        return self.cluster.committed()
 
     def _extract(self, value) -> Tuple[Optional[str], Any]:
         # Intra-shard entries arrive as {"tx_id", "shard", "payload"};

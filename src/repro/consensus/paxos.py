@@ -12,8 +12,18 @@ Leader failure is handled by ballot takeover: calling
 ``cluster.elect(node)`` makes that node run Phase 1 with a higher
 ballot; promises carry previously accepted values which the new leader
 re-proposes, preserving safety.
+
+Log compaction: ``cluster.compact(slot)`` releases every slot below
+``slot`` (decided, and applied by every state-machine replica that may
+still need it) from acceptor, leader and learner state on each live
+node, locally — it sends no message.  Each node remembers its
+watermark: an ACCEPT or DECIDE below it changes nothing (a conflicting
+DECIDE still fails closed on the slot's fingerprint), and PROMISE
+carries it, so a new leader never assigns a slot below the highest
+watermark in its quorum.
 """
 
+from array import array
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ProtocolError
@@ -21,7 +31,7 @@ from repro.consensus.base import (
     ClusterStats,
     ConsensusResult,
     DecisionLog,
-    compute_stats,
+    latency_stats,
 )
 from repro.net.simnet import Message, Node, SimNetwork
 
@@ -56,6 +66,16 @@ class PaxosNode(Node):
             self.pending.append(value)
             return
         self._propose(value)
+
+    def compact(self, upto: int) -> None:
+        """Release every slot below ``upto`` from this node's acceptor,
+        leader and learner state; O(slots released)."""
+        for slot in range(self.log.base, upto):
+            self.accepted.pop(slot, None)
+            self.proposals.pop(slot, None)
+            self.accept_counts.pop(slot, None)
+        self.log.compact(upto)
+        self.next_slot = max(self.next_slot, upto)
 
     def _propose(self, value: Any) -> None:
         slot = self.next_slot
@@ -115,6 +135,7 @@ class PaxosNode(Node):
                 "promise",
                 {
                     "ballot": ballot,
+                    "watermark": self.log.base,
                     "accepted": {
                         str(slot): [b, v] for slot, (b, v) in self.accepted.items()
                     },
@@ -132,11 +153,16 @@ class PaxosNode(Node):
 
     def _become_leader(self, promises: List[dict]) -> None:
         self.is_leader = True
+        # Slots below any quorum member's watermark are decided and
+        # applied everywhere: release them here too, never reassign them.
+        self.compact(max(promise["watermark"] for promise in promises))
         # Adopt the highest-ballot accepted value per slot (safety rule).
         adopted: Dict[int, tuple] = {}
         for promise in promises:
             for slot_text, (ballot, value) in promise["accepted"].items():
                 slot = int(slot_text)
+                if slot < self.log.base:
+                    continue
                 if slot not in adopted or ballot > adopted[slot][0]:
                     adopted[slot] = (ballot, value)
         for slot, (_, value) in sorted(adopted.items()):
@@ -153,17 +179,19 @@ class PaxosNode(Node):
 
     def _on_accept(self, message: Message) -> None:
         ballot = message.body["ballot"]
+        slot = message.body["slot"]
+        if slot < self.log.base:
+            return
         if ballot >= self.promised_ballot:
             self.promised_ballot = ballot
-            slot = message.body["slot"]
             self.accepted[slot] = (ballot, message.body["value"])
             self.send(message.src, "accepted", {"ballot": ballot, "slot": slot})
 
     def _on_accepted(self, message: Message) -> None:
         ballot = message.body["ballot"]
-        if ballot != self.ballot or not self.is_leader:
-            return
         slot = message.body["slot"]
+        if ballot != self.ballot or not self.is_leader or slot < self.log.base:
+            return
         voters = self.accept_counts.setdefault(slot, set())
         voters.add(message.src)
         if len(voters) == self.quorum:
@@ -196,8 +224,11 @@ class PaxosCluster:
             node.on_decide = self._record_decide
             self.network.add_node(node)
             self.nodes.append(node)
-        self._results: List[ConsensusResult] = []
-        self._by_value: Dict[str, ConsensusResult] = {}
+        # Stats stay exact and bounded: every decided command's latency
+        # as one float, plus the results still awaiting a decision.
+        self._submitted = 0
+        self._latencies = array("d")
+        self._pending: Dict[str, ConsensusResult] = {}
         self._request_spans: Dict[str, Any] = {}
         self.leader = self.nodes[0]
         self.leader.start_election(ballot=1)
@@ -205,10 +236,11 @@ class PaxosCluster:
 
     def _record_decide(self, slot: int, value: Any) -> None:
         key = _value_key(value)
-        result = self._by_value.get(key)
-        if result is not None and result.decided_at is None:
+        result = self._pending.pop(key, None)
+        if result is not None:
             result.sequence = slot
             result.decided_at = self.network.clock.now()
+            self._latencies.append(result.latency)
         span = self._request_spans.pop(key, None)
         if span is not None:
             span.set_attribute("slot", slot)
@@ -218,12 +250,13 @@ class PaxosCluster:
         result = ConsensusResult(
             value=value, sequence=-1, submitted_at=self.network.clock.now()
         )
-        self._results.append(result)
-        self._by_value[_value_key(value)] = result
+        self._submitted += 1
+        key = _value_key(value)
+        self._pending[key] = result
         tracer = self.network.tracer
         if tracer.enabled:
             # One span per decree: client request until first decide.
-            self._request_spans[_value_key(value)] = tracer.start_trace(
+            self._request_spans[key] = tracer.start_trace(
                 "paxos.request",
                 start_time=self.network.clock.now(),
                 attributes={"leader": self.leader.name},
@@ -266,15 +299,34 @@ class PaxosCluster:
         return retried
 
     def committed(self) -> List[Any]:
+        """The leader's retained gap-free prefix."""
         return self.leader.log.committed_prefix()
 
+    def committed_since(self, start: int) -> List[Any]:
+        """The leader's gap-free prefix from slot ``start`` on."""
+        return self.leader.log.committed_since(start)
+
+    def compact(self, upto: int) -> None:
+        """Release every slot below ``upto`` on each live node.  Local
+        to each node: no message, no clock read.  A crashed node keeps
+        its state until a later call after it is back."""
+        for node in self.nodes:
+            if not node.crashed:
+                node.compact(upto)
+
     def stats(self) -> ClusterStats:
-        return compute_stats(
-            self._results,
+        return latency_stats(
+            self._latencies,
+            total=self._submitted,
             sim_duration=self.network.clock.now(),
             messages=self.network.message_count,
         )
 
 
 def _value_key(value: Any) -> str:
+    """What matches a decided value to its submission: the replication
+    driver's proposal key for its wrapped batches (so a batch payload
+    is never re-rendered), ``repr`` for anything else."""
+    if isinstance(value, dict) and isinstance(value.get("rep"), str):
+        return value["rep"]
     return repr(value)

@@ -360,9 +360,18 @@ class PBFTCluster:
 
     def committed(self) -> List[Any]:
         """Gap-free prefix agreed by at least f+1 replicas."""
-        prefixes = [node.log.committed_prefix() for node in self.nodes]
-        prefixes.sort(key=len, reverse=True)
-        return prefixes[self.f]
+        return self.committed_since(0)
+
+    def committed_since(self, start: int) -> List[Any]:
+        """That prefix from slot ``start`` on: the (f+1)-th longest
+        node prefix, read without rebuilding it from slot 0."""
+        ranked = sorted(self.nodes, key=lambda node: node.log.prefix_end,
+                        reverse=True)
+        return ranked[self.f].log.committed_since(start)
+
+    def compact(self, upto: int) -> None:
+        """No-op: releasing PBFT slot state safely needs 2f+1 checkpoint
+        certificates, so PBFT nodes keep every slot."""
 
     def stats(self) -> ClusterStats:
         return compute_stats(

@@ -22,13 +22,21 @@ replica's decision/digest/WAL stream is byte-identical to a standalone
 framework fed the same decided order — which is exactly what the
 driver-equivalence tests pin.
 
+The driver log is compacted as the replicas go: after every decided
+batch the shard releases what every replica that may still replay it
+has applied.  The watermark is the lowest applied offset over the live
+replicas and the crashed *durable* ones; a crashed non-durable replica
+does not hold it back.
+
 Crash/recovery: :meth:`crash_replica` drops one replica;
-:meth:`restart_replica` rebuilds it from its builder, replays its own
-WAL (when durable), derives how many decided batches that recovered
-prefix covers, then resynchronizes the rest via ``driver.catch_up``
-against the committed prefix and re-asserts root convergence.  A
-non-durable replica recovers from the committed prefix alone — the
-decided stream *is* the authoritative history.
+:meth:`restart_replica` rebuilds it from its builder.  A durable
+replica replays its own WAL, which ends exactly at its seat (every
+batch fsyncs its anchor), and then replays the retained tail via
+``driver.catch_up``.  A non-durable replica behind the watermark
+installs a converged live peer's state through the snapshot format
+(:func:`~repro.durability.snapshot.capture_state` /
+:func:`~repro.durability.snapshot.restore_state`) and replays only the
+tail.  Either way the shard re-asserts root convergence.
 
 ``ReplicatedShard.framework`` is the primary replica, so the handle
 surface reads from there and the shard overrides only what ordering
@@ -37,13 +45,15 @@ shard via its ``consensus=`` plan knobs.
 """
 
 import inspect
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import IntegrityError, PReVerError, ProtocolError
 from repro.common.metrics import MetricsRegistry
+from repro.common.serialization import canonical_json, from_canonical_json
 from repro.consensus.driver import LocalDriver, ReplicationDriver
 from repro.core.framework import PReVer
 from repro.core.outcome import UpdateResult
+from repro.durability.snapshot import capture_state, restore_state
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER
 
@@ -181,9 +191,11 @@ class ReplicatedShard(ShardHandle):
         ]
         #: Decided batches applied per replica (dense prefix counts).
         self._applied = [0] * replicas
-        #: Updates per decided batch, in decided order — the map from
-        #: a recovered ledger size back to a batch offset.
-        self._batch_sizes: List[int] = []
+        self._decided_batches = 0
+        #: Crashed durable replicas: index -> (seat, ledger size there).
+        #: The seat holds the driver log; the size is where a restart's
+        #: WAL recovery must land.
+        self._pinned: Dict[int, Tuple[int, int]] = {}
         self._tmr_replay = self.metrics.timer("consensus.replay")
         self._ctr_batches = self.metrics.counter("consensus.replayed_batches")
 
@@ -242,12 +254,12 @@ class ReplicatedShard(ShardHandle):
     def _apply_decided(self, decided) -> List[UpdateResult]:
         """Replay one decided batch into every live replica, asserting
         the stream is gap-free and the replicas stay root-equal."""
-        if decided.sequence != len(self._batch_sizes):
+        if decided.sequence != self._decided_batches:
             raise IntegrityError(
                 f"shard {self.name!r}: decided batch {decided.sequence} "
-                f"out of order (expected {len(self._batch_sizes)})"
+                f"out of order (expected {self._decided_batches})"
             )
-        self._batch_sizes.append(len(decided.payload["updates"]))
+        self._decided_batches += 1
         start = self.metrics._clock.now()
         results = None
         roots = {}
@@ -267,7 +279,18 @@ class ReplicatedShard(ShardHandle):
         self._tmr_replay.record(self.metrics._clock.now() - start)
         self._ctr_batches.add()
         self._check_roots(roots, at=decided.sequence)
+        self._compact()
         return results
+
+    def _compact(self) -> None:
+        """Release the decided batches no replica can still need: below
+        the lowest offset of the live replicas and the crashed durable
+        ones."""
+        seats = [applied for applied, replica
+                 in zip(self._applied, self.replicas) if replica is not None]
+        seats.extend(seat for seat, _ in self._pinned.values())
+        if seats:
+            self.driver.compact(min(seats))
 
     def _replay(self, index: int, decided) -> List[UpdateResult]:
         """Run one decided batch through live replica ``index`` and
@@ -304,7 +327,7 @@ class ReplicatedShard(ShardHandle):
                 f"shard {self.name!r}: replicas at different offsets "
                 f"{sorted(offsets)}; catch_up lagging replicas first"
             )
-        self._check_roots(roots, at=len(self._batch_sizes) - 1)
+        self._check_roots(roots, at=self._decided_batches - 1)
         return next(iter(roots.values()))
 
     # -- crash / recovery --------------------------------------------------
@@ -312,10 +335,13 @@ class ReplicatedShard(ShardHandle):
     def crash_replica(self, index: int) -> None:
         """Take one replica down (flush + drop).  The shard keeps
         serving from the remaining replicas; the decided stream keeps
-        the crashed replica's seat in ``_applied``."""
+        the crashed replica's seat in ``_applied``, and a durable
+        replica's seat holds the driver log until it restarts."""
         replica = self.replicas[index]
         if replica is None:
             return
+        if replica.durability.enabled:
+            self._pinned[index] = (self._applied[index], len(replica.ledger))
         replica.close()
         self.replicas[index] = None
 
@@ -323,12 +349,13 @@ class ReplicatedShard(ShardHandle):
         """Rebuild a crashed replica and resynchronize it.
 
         With durability on, the replica first replays its own WAL
-        (:meth:`PReVer.recover`), and the recovered ledger size is
-        mapped back to a decided-batch offset — fail-closed if it does
-        not land on a batch boundary, because a replica that durably
-        holds half a batch violates the atomic-batch commit this
-        module assumes.  Then :meth:`catch_up` replays the rest of the
-        committed prefix and re-asserts convergence.
+        (:meth:`PReVer.recover`), which must end at the seat it crashed
+        at — fail-closed otherwise, because a replica that durably holds
+        another prefix violates the atomic-batch commit this module
+        assumes.  A non-durable replica behind the compaction watermark
+        installs a converged live peer's state instead.  Then
+        :meth:`catch_up` replays the retained tail and re-asserts
+        convergence.
         """
         if self.replicas[index] is not None:
             raise PReVerError(f"replica {index} is still live")
@@ -336,25 +363,42 @@ class ReplicatedShard(ShardHandle):
         applied = 0
         if framework.durability.enabled:
             framework.recover()
-            size = len(framework.ledger)
-            covered = 0
-            while applied < len(self._batch_sizes) and covered < size:
-                covered += self._batch_sizes[applied]
-                applied += 1
-            if covered != size:
+            applied, size = self._pinned.get(index, (0, 0))
+            if len(framework.ledger) != size:
                 raise IntegrityError(
                     f"shard {self.name!r}: replica {index} recovered "
-                    f"{size} ledger entries, which is not a decided-batch "
-                    f"boundary"
+                    f"{len(framework.ledger)} ledger entries, but crashed "
+                    f"at decided batch {applied} with {size}"
                 )
+        elif self.driver.base > 0:
+            applied = self._install_peer_state(framework)
         self.replicas[index] = framework
         self._applied[index] = applied
+        self._pinned.pop(index, None)
         self.catch_up(index)
         return framework
 
+    def _install_peer_state(self, framework: PReVer) -> int:
+        """Load a converged live peer's state into the fresh
+        ``framework`` and return the peer's offset.  The state goes
+        through the snapshot file format (canonical JSON both ways), so
+        nothing the new replica holds aliases the peer's objects."""
+        peer = self.primary_index  # IntegrityError when none is live
+        root = self.assert_converged()
+        state = capture_state(self.replicas[peer], wal_lsn=0)
+        restore_state(framework, from_canonical_json(canonical_json(state)))
+        if framework.ledger.digest().root != root:
+            raise IntegrityError(
+                f"shard {self.name!r}: installed state does not hold the "
+                "converged root"
+            )
+        return self._applied[peer]
+
     def catch_up(self, index: int) -> int:
-        """Replay the committed prefix beyond what replica ``index``
-        has applied; returns the number of batches replayed."""
+        """Replay the retained log beyond what replica ``index`` has
+        applied; returns the number of batches replayed.  Raises
+        :class:`~repro.common.errors.LogCompactedError` when the replica
+        is behind the compaction watermark."""
         if self.replicas[index] is None:
             raise PReVerError(f"replica {index} is not live")
         replayed = 0
@@ -369,6 +413,7 @@ class ReplicatedShard(ShardHandle):
             self._replay(index, decided)
             replayed += 1
         self.assert_converged()
+        self._compact()
         return replayed
 
     # -- what ordering changes on the handle surface -----------------------
@@ -414,7 +459,7 @@ class ReplicatedShard(ShardHandle):
         out["live_replicas"] = sum(
             1 for r in self.replicas if r is not None
         )
-        out["decided_batches"] = len(self._batch_sizes)
+        out["decided_batches"] = self._decided_batches
         return out
 
     def close(self) -> None:

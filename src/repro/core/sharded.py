@@ -371,6 +371,8 @@ class ShardedPReVer:
                 "coordinator driver never delivered escalation "
                 f"proposal {sequence}"
             )
+        # Every delivered escalation is on the ledger now.
+        self.replication.compact(sequence + 1)
         return entry
 
     # -- the submit API ---------------------------------------------------

@@ -723,3 +723,49 @@ class DPIndexVerifier(BaseVerifier):
         )
         self._noisy_totals[group] = max(0.0, noisy)
         self._since_refresh = 0
+
+    # -- durability hooks --------------------------------------------------
+
+    def durable_state(self) -> dict:
+        """The budget spent so far and the noisy totals the manager
+        verifies against — what a recovered or installed engine must
+        not get back for free.  The manager already sees the noisy
+        totals, so persisting them adds no leakage."""
+        accountant = self.index.accountant
+        return {
+            "epsilon_total": accountant.epsilon_total,
+            "spent": accountant.spent,
+            "since_refresh": self._since_refresh,
+            "noisy_totals": [
+                [list(group), total]
+                for group, total in sorted(self._noisy_totals.items(),
+                                           key=lambda item: repr(item[0]))
+            ],
+        }
+
+    def restore_durable_state(self, state: Optional[dict]) -> None:
+        """Load :meth:`durable_state`; the accountant never ends below
+        the budget the snapshot had spent (fail closed on a different
+        total budget)."""
+        if state is None:
+            return
+        accountant = self.index.accountant
+        if state["epsilon_total"] != accountant.epsilon_total:
+            raise EngineError(
+                "snapshot was taken under a different privacy budget"
+            )
+        accountant.spent = max(accountant.spent, state["spent"])
+        self._since_refresh = state["since_refresh"]
+        self._noisy_totals = {
+            tuple(group): total for group, total in state["noisy_totals"]
+        }
+
+    def replay_applied(self, update: Update, now: float) -> None:
+        """Refused: WAL replay cannot re-derive the refresh charges the
+        crashed process paid, including those spent deciding updates it
+        rejected, so a replayed engine would hand budget back.  Recover
+        a DP-index framework from a snapshot with no WAL tail."""
+        raise EngineError(
+            "dp-index engine cannot replay logged updates: their privacy "
+            "charges are not in the WAL — recover from a snapshot"
+        )

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import LogCompactedError, ProtocolError
 from repro.consensus.base import DecisionLog
 from repro.consensus.paxos import PaxosCluster
 from repro.consensus.pbft import PBFTCluster
+from repro.net.simnet import Message
 
 
 # -- shared machinery ---------------------------------------------------------
@@ -22,7 +23,55 @@ def test_decision_log_prefix_and_conflicts():
         log.decide(0, "different")
 
 
+def test_decision_log_compaction_keeps_a_fingerprint_per_slot():
+    log = DecisionLog()
+    for slot, value in enumerate("abc"):
+        log.decide(slot, value)
+    log.compact(2)
+    assert log.base == 2 and len(log) == 1
+    assert log.committed_prefix() == log.committed_since(2) == ["c"]
+    assert log.decide(0, "a") is False  # a late repeat changes nothing
+    with pytest.raises(ProtocolError, match="compacted slot 1"):
+        log.decide(1, "different")
+    with pytest.raises(LogCompactedError):
+        log.committed_since(1)
+    log.compact(4)  # past the prefix: slot 3 was never learned here
+    assert log.committed_since(4) == [] and log.decide(3, "any") is False
+
+
 # -- Paxos ----------------------------------------------------------------------
+
+
+def test_paxos_compaction_watermark_rules():
+    """Below a node's watermark an ACCEPT changes nothing and sends
+    nothing, a repeated DECIDE is ignored and a conflicting one fails
+    closed; PROMISE carries the watermark, so a new leader continues
+    above it."""
+    cluster = PaxosCluster(n=3)
+    for i in range(4):
+        cluster.submit({"op": i})
+    cluster.run()
+    cluster.compact(3)
+    follower = cluster.nodes[1]
+    assert follower.log.base == 3 and sorted(follower.accepted) == [3]
+    assert not set(cluster.leader.proposals) - {3}
+    assert not set(cluster.leader.accept_counts) - {3}
+    sent = cluster.network.message_count
+    leader = cluster.leader.name
+    follower.on_message(Message(leader, follower.name, "accept", {
+        "ballot": cluster.leader.ballot, "slot": 1, "value": {"op": "x"}}))
+    assert 1 not in follower.accepted
+    assert cluster.network.message_count == sent
+    follower.on_message(Message(leader, follower.name, "decide",
+                                {"slot": 1, "value": {"op": 1}}))
+    with pytest.raises(ProtocolError, match="compacted slot 1"):
+        follower.on_message(Message(leader, follower.name, "decide",
+                                    {"slot": 1, "value": {"op": "x"}}))
+    cluster.elect(2)
+    assert cluster.leader.is_leader and cluster.leader.log.base == 3
+    cluster.submit({"op": 4})
+    cluster.run()
+    assert cluster.committed_since(3) == [{"op": 3}, {"op": 4}]
 
 def test_paxos_orders_all_commands():
     cluster = PaxosCluster(n=5)

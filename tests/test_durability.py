@@ -26,7 +26,7 @@ from repro.common.errors import (
 from repro.common.serialization import canonical_json, from_canonical_json
 from repro.core.contexts import single_private_database
 from repro.core.framework import PReVer
-from repro.core.verifiers import PaillierVerifier
+from repro.core.verifiers import EngineError, PaillierVerifier
 from repro.crypto.hashing import digest_canonical
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.database import Database, TableSchema
@@ -37,6 +37,7 @@ from repro.durability import (
     SimulatedCrash,
     WriteAheadLog,
 )
+from repro.durability.snapshot import capture_state, restore_state
 from repro.durability.wal import encode_record
 from repro.model.constraints import upper_bound_regulation
 from repro.model.update import Update, UpdateOperation
@@ -530,6 +531,39 @@ def test_recovered_engine_decides_like_the_process_that_crashed(tmp_path):
     assert live.engine.verify(make_update(2, co2=4), 0.0).accepted
     assert recovered.submit(make_update(2, co2=4)).applied
     recovered.close()
+
+
+def test_dp_index_snapshot_keeps_the_spent_budget():
+    """A DP-index engine restored from a snapshot keeps the budget its
+    refreshes spent and the noisy totals it verifies against."""
+    live, _ = build(engine="dp-index")
+    for i in range(6):
+        live.submit(make_update(i, org=("acme", "globex")[i % 2]))
+    spent = live.engine.index.accountant.spent
+    assert spent > 0
+    state = from_canonical_json(canonical_json(capture_state(live, 0)))
+
+    restored, _ = build(engine="dp-index")
+    restore_state(restored, state)
+    assert restored.engine.index.accountant.spent == spent
+    assert restored.engine._noisy_totals == live.engine._noisy_totals
+    assert restored.engine._since_refresh == live.engine._since_refresh
+    other_budget, _ = build(engine="dp-index")
+    other_budget.engine.index.accountant.epsilon_total = 9.0
+    with pytest.raises(EngineError, match="privacy budget"):
+        restore_state(other_budget, state)
+
+
+def test_dp_index_wal_replay_refuses(tmp_path):
+    """WAL replay cannot re-derive refresh charges, so recovering a
+    DP-index framework from logged updates fails closed."""
+    durability = Durability.wal(durable_dir(tmp_path))
+    live, _ = build(engine="dp-index", durability=durability)
+    assert live.submit(make_update(0)).applied
+    live.close()
+    recovered, _ = build(engine="dp-index", durability=durability)
+    with pytest.raises(EngineError, match="privacy charges"):
+        recovered.recover()
 
 
 @pytest.mark.parametrize("mode", ["wal", "wal+snapshot"])

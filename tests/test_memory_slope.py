@@ -1,26 +1,31 @@
 """What a decided update leaves resident, and what importing costs.
 
-The rule the ledger, outcome, engine and database layers keep: once
-``Pipeline.run_batch`` returns, a decided update is its table row, its
-canonical leaf bytes in the ledger's one buffer plus an 8-byte end
-offset (and the leaf hash in the tree), and one 8-byte slot in the
-framework's decision index (``PReVer.results`` reads the ledger through
-it).  The engine's transcript is a fixed window of observations, full
-before the first reading.  Three deployment shapes are held to a
+The rule the ledger, outcome, engine, database and ordering layers
+keep: once ``Pipeline.run_batch`` returns, a decided update is its
+table row, its canonical leaf bytes in the ledger's one buffer plus an
+8-byte end offset (and the leaf hash in the tree), and one 8-byte slot
+in the framework's decision index (``PReVer.results`` reads the ledger
+through it).  The engine's transcript is a fixed window of
+observations, full before the first reading.  A replicated shard
+compacts every decided batch out of its driver and Paxos nodes once
+all replicas applied it.  Four deployment shapes are held to a
 traced-bytes-per-update budget — tracemalloc, ``gc.collect()`` before
 each reading, the slope between two readings so set-up and warm-up
 cancel — and object-graph walks check that no store keeps a ``dict``
-per update besides the row itself and that the ledger keeps no object
-per entry besides the tree's leaf hash.
+per update besides the row itself, that the ledger keeps no object per
+entry besides the tree's leaf hash, and that the ordering state does
+not grow with depth.
 
-Budgets are this tree's measurement + 15 %.  The parent commit
-(b8ed9d8: a ``LedgerEntry`` object per entry, every manager
-observation kept) read, with the same code:
+Budgets are this tree's measurement + 15 % (plain and Paillier keep
+the earlier budgets).  The parent commit (b834cf1: every decided batch
+kept by the driver, each Paxos node and the cluster) read, with the
+same code:
 
     shape                         parent    this tree   budget
-    plaintext, row predicate         918        587        675
-    3 replicas, LocalDriver        2,540      2,151      2,475
-    Paillier, signed updates       1,090        749        860   (B/update)
+    plaintext, row predicate         582        580        675
+    3 replicas, LocalDriver        2,146      1,622      1,865
+    3 replicas, PaxosDriver        2,565      1,632      1,885
+    Paillier, signed updates         779        771        860   (B/update)
 
 Print the current readings, and each store's share of them, with
 ``PYTHONPATH=src python tests/test_memory_slope.py``.
@@ -36,7 +41,7 @@ import pytest
 
 import repro
 from repro.common.randomness import deterministic_rng
-from repro.consensus.driver import LocalDriver
+from repro.consensus.driver import LocalDriver, PaxosDriver
 from repro.core.contexts import single_private_database
 from repro.core.replicated import ReplicatedShard
 from repro.core.verifiers import TRANSCRIPT_WINDOW
@@ -53,10 +58,10 @@ from repro.model.participants import DataProducer
 from repro.model.update import Update, UpdateOperation
 from repro.parallel.executors import SERIAL_EXECUTOR
 
-BUDGET_BYTES_PER_UPDATE = {"plain": 675, "replicated": 2475,
-                           "paillier": 860}
+BUDGET_BYTES_PER_UPDATE = {"plain": 675, "replicated": 1865,
+                           "paxos": 1885, "paillier": 860}
 CHUNK = 32
-STORES = ("ledger", "tree", "database", "transcript", "driver")
+STORES = ("ledger", "tree", "database", "transcript", "consensus")
 
 
 # -- the three shapes ---------------------------------------------------------
@@ -149,27 +154,45 @@ def traced_bytes_per_update(submit, make_updates, updates: int,
     }
 
 
+def consensus_state(shard) -> list:
+    """The ordering layer's per-batch stores: the shard's seats, the
+    driver log and start times and, behind a cluster driver, the
+    cluster's result maps and every node's slot maps and decision log."""
+    driver = shard.driver
+    roots = [shard._applied, shard._pinned, driver._log,
+             driver._propose_starts]
+    cluster = getattr(driver, "cluster", None)
+    if cluster is not None:
+        roots += [driver._slot_ends, cluster._latencies, cluster._pending,
+                  cluster._request_spans]
+        for node in cluster.nodes:
+            roots += [node.accepted, node.proposals, node.accept_counts,
+                      node.promises, node.pending, node.log]
+    return roots
+
+
 def measure(shape: str, walk: bool = False):
     """``(traced bytes per decided update, {store: bytes per update})``
     for one shape; the per-store walk only with ``walk``."""
-    driver, observations = (), 1
+    consensus, observations = (), 1
     if shape == "plain":
         framework = build_emissions()
         submit, make, updates = framework.submit_many, emissions_updates, 1024
         frameworks = [framework]
-    elif shape == "replicated":
-        shard = ReplicatedShard(build_emissions, replicas=3,
-                                driver=LocalDriver())
+    elif shape in ("replicated", "paxos"):
+        shard = ReplicatedShard(
+            build_emissions, replicas=3,
+            driver=LocalDriver() if shape == "replicated" else PaxosDriver())
         submit, make, updates = shard.submit_many, emissions_updates, 1024
         frameworks = shard.replicas
-        driver = (shard.driver._log, shard._batch_sizes)
+        consensus = consensus_state(shard)
     else:
         framework = build_tasks_paillier()
         submit, updates = framework.submit_many, 256
         make = signed_task_updates(DataProducer("slope-producer"))
         frameworks = [framework]
         observations = 2  # the group key, then the proposed ciphertext
-    stores = (lambda: store_bytes(frameworks, driver)) if walk else None
+    stores = (lambda: store_bytes(frameworks, consensus)) if walk else None
     return traced_bytes_per_update(submit, make, updates, observations,
                                    stores)
 
@@ -204,7 +227,7 @@ def dicts_reachable(root) -> int:
     return sum(type(obj) is dict for obj in reachable(root))
 
 
-def store_bytes(frameworks, driver=()) -> dict:
+def store_bytes(frameworks, consensus=()) -> dict:
     """Deep ``sys.getsizeof`` per store, summed over ``frameworks``;
     each object counts under the first store that reaches it, and the
     tree is walked before the ledger that holds it."""
@@ -213,7 +236,7 @@ def store_bytes(frameworks, driver=()) -> dict:
         "ledger": [fw.ledger for fw in frameworks],
         "database": [db for fw in frameworks for db in fw.databases],
         "transcript": [fw.engine.manager_transcript for fw in frameworks],
-        "driver": list(driver),
+        "consensus": list(consensus),
     }
     seen = set()
     return {name: sum(map(sys.getsizeof, reachable(*objs, seen=seen)))
@@ -248,6 +271,20 @@ def test_ledger_object_count_does_not_grow_with_depth():
             framework.submit_many(emissions_updates(at, CHUNK))
         counts.append(sum(1 for _ in reachable(ledger)) - len(ledger))
     assert len(ledger) == 512
+    assert counts[0] == counts[1]
+
+
+def test_ordering_state_does_not_grow_with_depth():
+    """With every replica live, compaction keeps the driver log, the
+    cluster's maps and each Paxos node's acceptor, leader and learner
+    maps at the batches in flight, however many were decided."""
+    shard = ReplicatedShard(build_emissions, replicas=3, driver=PaxosDriver())
+    counts = []
+    for start in (0, 256):
+        for at in range(start, start + 256, CHUNK):
+            shard.submit_many(emissions_updates(at, CHUNK))
+        counts.append(sum(1 for _ in reachable(*consensus_state(shard))))
+    assert shard.stats()["decided_batches"] == 512 // CHUNK
     assert counts[0] == counts[1]
 
 

@@ -21,7 +21,11 @@ The contract under test, layer by layer:
   the WAL bytes when replicas are durable.
 * **Crash/recovery** — a crashed replica restarts, replays its own WAL
   when durable, resynchronizes the rest via ``catch_up`` against the
-  committed prefix, and reconverges to the live replicas' root.
+  retained log, and reconverges to the live replicas' root.
+* **Compaction** — the driver log holds only what a replica may still
+  replay: a crashed durable replica's seat pins it, a crashed
+  non-durable one restarts from a peer snapshot, and reading below the
+  watermark is a typed error.
 * **The sharded front door** — ``consensus=`` plans produce the same
   root-of-roots and decisions as the plain sharded deployment, and
   cross-shard escalations order through the coordinator's driver.
@@ -32,7 +36,7 @@ import os
 
 import pytest
 
-from repro.common.errors import IntegrityError, PReVerError
+from repro.common.errors import IntegrityError, LogCompactedError, PReVerError
 from repro.consensus.driver import (
     DecidedBatch,
     LocalDriver,
@@ -45,6 +49,7 @@ from repro.consensus.driver import (
 )
 from repro.core.replicated import ReplicatedShard, ShardHandle
 from repro.core.sharded import ShardedPReVer
+from repro.crypto.paillier import generate_paillier_keypair
 from repro.durability import Durability
 
 from tests.test_pipeline_stages import (
@@ -299,15 +304,131 @@ def test_durable_replica_recovers_wal_then_catches_up(tmp_path):
     shard.close()
 
 
+def durable_builder(tmp_path):
+    """Plaintext replicas with a WAL directory each."""
+    def build(replica=0):
+        return build_plaintext(
+            durability=Durability.wal(str(tmp_path / f"r{replica}")))
+    return build
+
+
+def standalone_root(batches, engine="plaintext"):
+    framework = BUILDERS[engine]()
+    for batch in batches:
+        framework.submit_many(batch)
+    return framework.ledger.digest().root
+
+
+def test_durable_replica_crash_pins_the_log_and_replays_the_tail(tmp_path):
+    """A crashed durable replica holds the driver log at its seat; its
+    restart recovers its WAL to exactly that seat and replays only the
+    retained tail, after which the log is released again."""
+    shard = ReplicatedShard(durable_builder(tmp_path), replicas=3,
+                            driver=PaxosDriver(), name="pin")
+    batches = chunked(golden_stream(), 4)
+    shard.submit_many(batches[0])
+    assert shard.driver.base == 1  # all live: released once applied
+    shard.crash_replica(2)
+    for batch in batches[1:]:
+        shard.submit_many(batch)
+    assert shard.driver.base == 1
+    assert [d.sequence for d in shard.driver.catch_up(1)] == [1, 2, 3]
+    framework = shard.restart_replica(2)
+    assert shard._applied == [4, 4, 4]
+    assert shard.driver.base == 4 and len(shard.driver._log) == 0
+    assert framework.ledger.digest().root == standalone_root(batches)
+    assert framework._submitted_count == len(golden_stream())
+    assert shard.stats()["decided_batches"] == 4
+    shard.close()
+
+
+SHARED_KEYPAIR = generate_paillier_keypair(128)
+
+
+def build_paillier_shared_key():
+    """Snapshot install, like recovery, needs the peer's key material:
+    every replica of the shard holds the same Paillier keypair."""
+    framework = BUILDERS["paillier"]()
+    framework.engine.keypair = SHARED_KEYPAIR
+    return framework
+
+
+@pytest.mark.parametrize("engine", ["plaintext", "paillier"])
+def test_non_durable_restart_installs_a_peer_snapshot(engine):
+    """A crashed non-durable replica does not hold the log back; its
+    restart installs a converged peer's state, which aliases nothing of
+    the peer's, and the shard keeps converging on the standalone root."""
+    build = (build_plaintext if engine == "plaintext"
+             else build_paillier_shared_key)
+    shard = ReplicatedShard(build, replicas=3, driver=PaxosDriver(),
+                            name="install")
+    batches = chunked(golden_stream(), 4)
+    shard.submit_many(batches[0])
+    shard.crash_replica(2)
+    for batch in batches[1:3]:
+        shard.submit_many(batch)
+    assert shard.driver.base == 3
+    framework = shard.restart_replica(2)
+    assert shard._applied == [3, 3, 3]
+    assert framework.ledger.digest() == shard.primary.ledger.digest()
+    assert [(r.ledger_sequence, r.update_id, r.applied)
+            for r in framework.results] == [
+        (r.ledger_sequence, r.update_id, r.applied)
+        for r in shard.primary.results]
+
+    installed = framework.databases[0].table("events")
+    primary = shard.primary.databases[0].table("events")
+    key = next(iter(installed._rows))
+    before = primary.get(key)
+    installed._rows[key].clear()
+    assert primary.get(key) == before and before
+
+    shard.submit_many(batches[3])
+    assert shard.digest().root == standalone_root(batches, engine)
+    # With no live peer there is nothing to install from: fail closed.
+    for index in range(3):
+        shard.crash_replica(index)
+    with pytest.raises(IntegrityError, match="no live replicas"):
+        shard.restart_replica(0)
+    shard.close()
+
+
+def test_catch_up_below_the_watermark_raises_a_typed_error():
+    shard = ReplicatedShard(build_plaintext, replicas=2,
+                            driver=LocalDriver(), name="w")
+    for batch in chunked(golden_stream(), 4):
+        shard.submit_many(batch)
+    assert shard.driver.base == shard.driver.decided == 4
+    with pytest.raises(LogCompactedError, match="compacted"):
+        shard.driver.catch_up(0)
+    shard._applied[1] = 2  # a replica seated below the watermark
+    with pytest.raises(LogCompactedError):
+        shard.catch_up(1)
+    shard.close()
+
+
+def test_bare_driver_releases_propose_start_times():
+    """With no metrics bound, delivering a batch still releases its
+    proposal start time."""
+    driver = PaxosDriver()
+    for n in range(5):
+        driver.propose_batch({"updates": [{"n": n}]})
+    assert len(list(driver.committed_stream())) == 5
+    assert driver._propose_starts == {}
+    driver.close()
+
+
 def test_catch_up_rejects_gapped_prefix():
     shard = ReplicatedShard(build_plaintext, replicas=1,
                             driver=LocalDriver(), name="g")
     shard.submit_many(golden_stream()[:4])
-    # Corrupt the committed prefix: drop the first decided batch.
-    shard.driver._log[0] = DecidedBatch(
-        sequence=1, payload=shard.driver._log[0].payload
-    )
-    shard._applied[0] = 0
+    # A decided batch the replica has not replayed yet (batch 0 is
+    # applied and compacted) — then corrupt the retained prefix so it
+    # skips sequence 1.
+    driver = shard.driver
+    driver.propose_batch(driver.encode_batch(golden_stream()[4:8]))
+    assert driver.base == shard._applied[0] == 1
+    driver._log[0] = DecidedBatch(sequence=2, payload=driver._log[0].payload)
     with pytest.raises(IntegrityError, match="gap"):
         shard.catch_up(0)
 
