@@ -1,8 +1,11 @@
 """E11 (Section 5): Separ end-to-end regulation-enforcement overhead.
 
-Task completions through the full Separ stack (blind tokens +
-double-spend registry + sharded blockchain anchoring) versus an
-unregulated baseline that just writes to the platform database.
+Task completions through the full Separ stack — the coordinator's token
+check (blind-signed issuance, double-spend registry) and the platform
+shard's SharPer-ordered, replicated pipeline — versus an unregulated
+baseline that just writes to the platform database.  The report splits
+the Separ task time into token issuance, token spending and the rest
+(routing, ordering, apply and anchor on the platform shard).
 """
 
 import itertools
@@ -54,14 +57,36 @@ def test_unregulated_baseline_cost(benchmark):
     benchmark.pedantic(one_task, rounds=10, iterations=5)
 
 
+def timed(owner, name, totals):
+    """Wrap ``owner.name`` to add its wall time to ``totals[name]``."""
+    import time
+
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            totals[name] += time.perf_counter() - start
+
+    setattr(owner, name, wrapper)
+
+
 def test_separ_report(benchmark, capsys):
     import time
 
     rows = []
+    split = []
 
     def sweep():
         rows.clear()
+        split.clear()
         system = build_separ()
+        totals = {"request_tokens": 0.0, "spend": 0.0}
+        for worker in system.workers.values():
+            timed(worker.wallet, "request_tokens", totals)
+        timed(system.registry, "spend", totals)
         n = 40
         start = time.perf_counter()
         for i in range(n):
@@ -74,6 +99,14 @@ def test_separ_report(benchmark, capsys):
             f"{elapsed / n * 1e3:.2f}ms",
             system.registry.total_spent(),
         ])
+        rest = elapsed - totals["request_tokens"] - totals["spend"]
+        for part, seconds in [
+            ("token issuance (blind RSA)", totals["request_tokens"]),
+            ("token spend (verify + registry)", totals["spend"]),
+            ("pipeline (route, order, apply, anchor)", rest),
+        ]:
+            split.append([part, f"{seconds / n * 1e3:.2f}ms",
+                          f"{seconds / elapsed:.0%}"])
         db = Database("plain2")
         db.create_table(TableSchema.build(
             "tasks",
@@ -97,4 +130,9 @@ def test_separ_report(benchmark, capsys):
             "E11: Separ end-to-end vs unregulated baseline (40 tasks)",
             ["system", "throughput", "latency/task", "tokens spent"],
             rows,
+        )
+        print_table(
+            "E11: where a Separ task's time goes",
+            ["part", "per task", "share"],
+            split,
         )

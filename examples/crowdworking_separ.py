@@ -4,8 +4,10 @@
 Ten workers complete tasks across four competing platforms for three
 weeks.  The 40-hour weekly cap is enforced *across* platforms via
 blind-signed single-use tokens, although no platform ever learns a
-worker's identity or their activity elsewhere.  Spends are anchored on
-a sharded permissioned blockchain (SharPer-style).
+worker's identity or their activity elsewhere.  Each task is one update
+through the sharded pipeline: one shard per platform, every shard (and
+the coordinator's rejections) ordered on a SharPer-style sharded
+permissioned blockchain.
 
 Run:  python examples/crowdworking_separ.py
 """

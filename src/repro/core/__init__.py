@@ -22,7 +22,10 @@
   asserts and crash/catch-up resynchronization;
 * :mod:`repro.core.contexts` — factory functions for the canonical
   instantiations (single private / federated private / public);
-* :mod:`repro.core.separ` — the Separ instantiation (Section 5).
+* :mod:`repro.core.separ` — the Separ instantiation (Section 5): a
+  :class:`ShardedPReVer` configuration with one SharPer-ordered shard
+  per platform and the FLSA cap as a cross-shard constraint checked
+  by a coordinator-side ``TokenVerifier``.
 """
 
 from typing import TYPE_CHECKING

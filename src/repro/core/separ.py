@@ -4,86 +4,98 @@ Multi-platform crowdworking: workers are the data producers and owners;
 the competing platforms (Uber, Lyft, ...) are mutually distrustful data
 managers; a trusted third party is the external authority issuing the
 public regulation (FLSA: at most 40 hours/week per worker across *all*
-platforms).  Design choices, exactly as the paper describes Separ's:
+platforms).  Separ's design choices are a configuration of the one
+update path, :class:`~repro.core.sharded.ShardedPReVer`:
 
-* data and updates private, constraints public;
-* centralized token-based enforcement: the authority issues 40
-  blind-signed one-hour tokens per worker per week;
-* global integrity state (the tokens spent) on a **sharded
-  permissioned blockchain** (SharPer), replicated among the platforms;
-* lower-bound regulations supported via per-period pseudonyms.
+* data and updates private, constraints public: one shard per
+  platform, holding its private task table;
+* global state on a **sharded permissioned blockchain** (SharPer):
+  the shards and the coordinator are ordered with ``consensus="sharper"``;
+* centralized token-based enforcement: the FLSA cap is a cross-shard
+  constraint checked coordinator-side by a
+  :class:`~repro.core.federated.TokenVerifier` — the authority issues
+  40 blind-signed one-hour tokens per worker per week, a task spends
+  its hours' worth;
+* a task completion is one update through ``submit`` naming the
+  worker's per-period pseudonym, never the worker, so no platform
+  shard holds an identity; lower bounds count spends per pseudonym.
 
 The known Separ limitations the paper lists are reproduced as explicit
 behaviours the tests exercise: the trusted authority is a single point
 (``authority_offline`` halts issuance), only bound constraints are
-supported (richer SQL raises), and the no-collusion assumption is
-surfaced by :meth:`collusion_view` showing what colluding platforms
-can pool (serials and pseudonym counts — not worker identities).
+supported (``TokenVerifier`` refuses the rest), and the no-collusion
+assumption is surfaced by :meth:`collusion_view` showing what colluding
+platforms can pool (serials and pseudonym counts — not identities).
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.clock import SimClock
-from repro.common.errors import ConstraintViolation, PReVerError
-from repro.chain.sharper import ShardedLedger
+from repro.common.errors import PReVerError
+from repro.core.federated import TokenVerifier
+from repro.core.framework import PReVer
+from repro.core.sharded import ShardedPReVer, ShardSpec
 from repro.database.engine import Database
 from repro.database.schema import ColumnType, TableSchema
-from repro.model.constraints import (
-    Constraint,
-    WindowSpec,
-    upper_bound_regulation,
-)
+from repro.model.constraints import WindowSpec, upper_bound_regulation
 from repro.model.participants import Authority, DataProducer
 from repro.model.update import Update, UpdateOperation
-from repro.privacy.tokens import (
-    DoubleSpendError,
-    IssuerUnavailable,
-    SpendRegistry,
-    TokenAuthority,
-    TokenError,
-    TokenWallet,
-)
+from repro.privacy.tokens import IssuerUnavailable, TokenAuthority, TokenWallet
 
 WEEK_SECONDS = 7 * 24 * 3600.0
 
-TASK_SCHEMA = TableSchema.build(
-    "tasks",
-    [
-        ("task_id", ColumnType.TEXT),
-        ("pseudonym", ColumnType.TEXT),
-        ("hours", ColumnType.INT),
-        ("requester", ColumnType.TEXT),
-        ("completed_at", ColumnType.FLOAT),
-    ],
-    primary_key=["task_id"],
-    indexes=["pseudonym"],
-)
+#: The rejection reason of a task the authority could not fund because
+#: no issuer answered (as opposed to the worker's budget running out).
+ISSUER_UNAVAILABLE = "token-issuer-unavailable"
+
+
+def task_schema(table: str) -> TableSchema:
+    """One platform's private task table."""
+    return TableSchema.build(
+        table,
+        [
+            ("task_id", ColumnType.TEXT),
+            ("pseudonym", ColumnType.TEXT),
+            ("hours", ColumnType.INT),
+            ("requester", ColumnType.TEXT),
+            ("completed_at", ColumnType.FLOAT),
+        ],
+        primary_key=["task_id"],
+        indexes=["pseudonym"],
+    )
 
 
 class Platform:
-    """One crowdworking platform: a private task database plus the
-    shared spend state."""
+    """One crowdworking platform: its shard (a private task table) and
+    what it observes of the spend state."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, table: str, shard, registry):
         self.name = name
-        self.database = Database(name)
-        self.database.create_table(TASK_SCHEMA)
-        self.observed_serials: List[str] = []
-        self.observed_pseudonyms: List[str] = []
+        self.table = table
+        self.shard = shard
+        self._spends = registry.ledger
 
-    def record_task(self, task_id: str, pseudonym: str, hours: int,
-                    requester: str, at: float) -> None:
-        self.database.insert(
-            "tasks",
-            {
-                "task_id": task_id,
-                "pseudonym": pseudonym,
-                "hours": hours,
-                "requester": requester,
-                "completed_at": at,
-            },
-        )
+    @property
+    def database(self) -> Database:
+        return self.shard.framework.databases[0]
+
+    @property
+    def tasks(self):
+        return self.database.table(self.table)
+
+    @property
+    def observed_serials(self) -> List[str]:
+        """Serials of the tokens spent here."""
+        spends = (entry.payload for entry in self._spends.entries())
+        return [s["serial"] for s in spends if s["platform"] == self.name]
+
+    @property
+    def observed_pseudonyms(self) -> List[str]:
+        """The pseudonym on each task recorded here."""
+        return [row["pseudonym"] for row in self.tasks.rows()]
 
 
 class Worker:
@@ -105,6 +117,48 @@ class TaskResult:
     reason: Optional[str] = None
 
 
+class _Issuer:
+    """The authority as the token check reaches it: while ``offline`` it
+    issues nothing; ``unavailable`` says the last issuance failed for
+    want of an issuer rather than of budget."""
+
+    def __init__(self, authority):
+        self.authority = authority
+        self.public_key = authority.public_key
+        self.offline = False
+        self.unavailable = False
+
+    def issue(self, participant: str, period: int, blinded: List) -> List[int]:
+        try:
+            if self.offline:
+                raise IssuerUnavailable("the labor authority is offline")
+            return self.authority.issue(participant, period, blinded)
+        except IssuerUnavailable:
+            self.unavailable = True
+            raise
+
+
+class _PseudonymTokens(TokenVerifier):
+    """The FLSA token check for updates naming a weekly pseudonym: the
+    pseudonym's worker's wallet pays (the authority issues to it by
+    worker name), and an issuer outage is its own rejection reason."""
+
+    def __init__(self, constraint, issuer: _Issuer):
+        super().__init__(constraint, authority=issuer)
+        self.wallets: Dict[str, TokenWallet] = {}  # pseudonym -> wallet
+
+    def wallet_for(self, producer: str) -> TokenWallet:
+        return self.wallets[producer]
+
+    def verify(self, update: Update, now: float):
+        self.authority.unavailable = False
+        outcome = super().verify(update, now)
+        if self.authority.unavailable:
+            return dataclasses.replace(outcome,
+                                       failed_constraint=ISSUER_UNAVAILABLE)
+        return outcome
+
+
 class SeparSystem:
     """The full Separ deployment."""
 
@@ -112,7 +166,6 @@ class SeparSystem:
         self,
         platform_names: Sequence[str],
         weekly_hour_cap: int = 40,
-        shards: int = 2,
         rsa_bits: int = 512,
         distributed_authority: int = 0,
     ):
@@ -137,31 +190,59 @@ class SeparSystem:
                 budget_per_period=weekly_hour_cap, rsa_bits=rsa_bits
             )
         self.authority_participant = Authority("labor-authority", external=True)
-        self.authority_offline = False
-        self.registry = SpendRegistry(self.authority.public_key)
-        self.platforms: Dict[str, Platform] = {
-            name: Platform(name) for name in platform_names
-        }
-        shard_names = [f"sh{i}" for i in range(max(1, shards))]
-        self.blockchain = ShardedLedger(shard_names, f=1)
-        self._platform_shard = {
-            name: shard_names[i % len(shard_names)]
-            for i, name in enumerate(platform_names)
-        }
-        self.workers: Dict[str, Worker] = {}
+        tables = [f"tasks_{name}" for name in platform_names]
+        self.coordinator = ShardedPReVer(
+            [ShardSpec(name, (table,), partial(self._build_platform, name, table))
+             for name, table in zip(platform_names, tables)],
+            clock=self.clock, consensus="sharper",
+        )
         self.regulation = upper_bound_regulation(
             name="flsa-40h",
-            table="tasks",
+            table=tables[0],
             column="hours",
             bound=weekly_hour_cap,
             match_columns=["pseudonym"],
             window=WindowSpec(time_column="completed_at", length=WEEK_SECONDS),
             authority=self.authority_participant.name,
         )
+        self.regulation.tables = tuple(tables)
         self.regulation.signature = self.authority_participant.sign(
             self.regulation.body_bytes()
         )
+        self._issuer = _Issuer(self.authority)
+        self.verifier = _PseudonymTokens(self.regulation, self._issuer)
+        self.coordinator.register_cross_shard_constraint(
+            self.regulation, self.verifier
+        )
+        self.registry = self.verifier.registry
+        self.blockchain = self.coordinator.replication.ledger  # SharPer
+        self.platforms: Dict[str, Platform] = {
+            spec.name: Platform(spec.name, spec.tables[0], shard, self.registry)
+            for spec, shard in zip(self.coordinator.specs,
+                                   self.coordinator.shards)
+        }
+        self.workers: Dict[str, Worker] = {}
+        self._reasons = {
+            self.regulation.constraint_id: "weekly hour cap reached",
+            ISSUER_UNAVAILABLE: "authority unavailable",
+            "token-double-spend": "double spend detected",
+        }
         self._task_counter = 0
+
+    def _build_platform(self, name: str, table: str) -> PReVer:
+        database = Database(name)
+        database.create_table(task_schema(table))
+        return PReVer([database], clock=self.clock)
+
+    @property
+    def authority_offline(self) -> bool:
+        """Separ's single point of failure: while True nothing is
+        issued, so only tasks a wallet can already pay for pass."""
+        return self._issuer.offline
+
+    @authority_offline.setter
+    def authority_offline(self, offline: bool) -> None:
+        self._issuer.offline = offline
 
     # -- participants ---------------------------------------------------------
 
@@ -179,60 +260,37 @@ class SeparSystem:
         self, worker_name: str, platform_name: str, hours: int,
         requester: str = "requester",
     ) -> TaskResult:
-        """A worker+requester collaboration producing one update.
-
-        Runs the Separ protocol: top up tokens if the budget allows,
-        spend ``hours`` tokens at the platform (double-spend checked
-        against the shared state), record the task under the worker's
-        period pseudonym, and anchor the spend batch on the blockchain.
-        """
+        """A worker+requester collaboration producing one update, under
+        the worker's pseudonym for this period: the coordinator's token
+        check spends ``hours`` tokens (topping the wallet up while the
+        budget allows), then the platform's shard orders, applies and
+        anchors the task."""
         worker = self.workers[worker_name]
         platform = self.platforms[platform_name]
-        period = self.current_period()
         if hours <= 0:
             return TaskResult(False, reason="non-positive hours")
-
-        # Token acquisition (the authority is Separ's trust anchor).
-        if worker.wallet.balance(period) < hours:
-            if self.authority_offline:
-                return TaskResult(False, reason="authority unavailable")
-            needed = hours - worker.wallet.balance(period)
-            try:
-                worker.wallet.request_tokens(self.authority, period, needed)
-            except IssuerUnavailable:
-                return TaskResult(False, reason="authority unavailable")
-            except TokenError:
-                return TaskResult(False, reason="weekly hour cap reached")
-
-        try:
-            tokens = worker.wallet.take(period, hours)
-        except TokenError:
-            return TaskResult(False, reason="insufficient tokens")
-
-        # Spend at the platform; platforms see serials + pseudonym only.
-        pseudonym = worker.pseudonym(period)
-        try:
-            for token in tokens:
-                self.registry.spend(token, platform_name)
-                platform.observed_serials.append(token.serial)
-        except DoubleSpendError:
-            return TaskResult(False, reason="double spend detected")
-        platform.observed_pseudonyms.append(pseudonym)
-
-        # Record the private update on the platform's database.
+        pseudonym = worker.pseudonym(self.current_period())
+        self.verifier.wallets[pseudonym] = worker.wallet
         self._task_counter += 1
         task_id = f"task-{self._task_counter:06d}"
-        platform.record_task(
-            task_id, pseudonym, hours, requester, self.clock.now()
-        )
-
-        # Anchor the spend on the sharded blockchain (global state).
-        self.blockchain.submit_intra(
-            self._platform_shard[platform_name],
-            {"pseudonym": pseudonym, "hours": hours, "platform": platform_name,
-             "period": period},
-        )
-        return TaskResult(True, task_id=task_id)
+        result = self.coordinator.submit(Update(
+            table=platform.table,
+            operation=UpdateOperation.INSERT,
+            payload={
+                "task_id": task_id,
+                "pseudonym": pseudonym,
+                "hours": hours,
+                "requester": requester,
+                "completed_at": self.clock.now(),
+            },
+            producers=[pseudonym],
+            managers=[platform_name],
+            update_id=task_id,
+        ))
+        if result.applied:
+            return TaskResult(True, task_id=task_id)
+        failed = result.outcome.failed_constraint
+        return TaskResult(False, reason=self._reasons.get(failed, failed))
 
     def settle(self) -> None:
         """Drive the blockchain network to quiescence."""
@@ -245,13 +303,11 @@ class SeparSystem:
         authority could compute this; platforms cannot)."""
         period = self.current_period() if period is None else period
         pseudonym = self.workers[worker_name].pseudonym(period)
-        total = 0
-        for platform in self.platforms.values():
-            for row in platform.database.table("tasks").lookup(
-                "pseudonym", pseudonym
-            ):
-                total += row["hours"]
-        return total
+        return sum(
+            row["hours"]
+            for platform in self.platforms.values()
+            for row in platform.tasks.lookup("pseudonym", pseudonym)
+        )
 
     def check_lower_bound(self, worker_name: str, minimum: int,
                           period: Optional[int] = None) -> bool:
@@ -271,11 +327,10 @@ class SeparSystem:
         weekly totals — but under the no-collusion assumption each
         platform alone knows only its own share."""
         serials: List[str] = []
-        pseudonyms: List[str] = []
-        for name in platform_names:
-            serials.extend(self.platforms[name].observed_serials)
-            pseudonyms.extend(self.platforms[name].observed_pseudonyms)
         per_pseudonym: Dict[str, int] = {}
-        for pseudonym in pseudonyms:
-            per_pseudonym[pseudonym] = per_pseudonym.get(pseudonym, 0) + 1
+        for name in platform_names:
+            platform = self.platforms[name]
+            serials.extend(platform.observed_serials)
+            for pseudonym in platform.observed_pseudonyms:
+                per_pseudonym[pseudonym] = per_pseudonym.get(pseudonym, 0) + 1
         return {"serials": serials, "pseudonym_counts": per_pseudonym}

@@ -139,7 +139,7 @@ class BaseVerifier:
         """The database refused the update this engine just accepted
         (duplicate key, missing row): put back the running totals its
         contribution replaced, so only applied updates stay counted —
-        the state :meth:`replay_applied` rebuilds after a crash."""
+        the state :meth:`replay_decided` rebuilds after a crash."""
         for store, key, previous in self._replaced:
             if previous is None:
                 del store[key]
@@ -186,10 +186,14 @@ class BaseVerifier:
                 f"engine {self.name!r} cannot restore durable state"
             )
 
-    def replay_applied(self, update: Update, now: float) -> None:
-        """Re-apply one anchored-as-applied update's effect on engine
-        state during WAL replay (the decision is already made; no
-        verification or transcript observation happens here)."""
+    def replay_decided(self, update: Optional[Update], applied: bool,
+                       now: Optional[float]) -> None:
+        """Re-apply one anchored decision's effect on engine state
+        during WAL replay (the decision is already made; no
+        verification or transcript observation happens here).  Every
+        replayed decision comes through here, rejections too; for a
+        rejection the engine decided, the WAL logged no update, so
+        ``update`` and ``now`` are None."""
 
     def _outcome(self, accepted: bool, failed: Optional[str] = None,
                  **evidence) -> VerificationOutcome:
@@ -440,14 +444,17 @@ class PaillierVerifier(BaseVerifier):
             for group, value in pairs:
                 aggregates[tuple(group)] = PaillierCiphertext(public_key, value)
 
-    def replay_applied(self, update: Update, now: float) -> None:
-        """Fold a replayed update into the running aggregates.
+    def replay_decided(self, update: Optional[Update], applied: bool,
+                       now: Optional[float]) -> None:
+        """Fold a replayed applied update into the running aggregates.
 
         Re-encrypts the contribution and adds it homomorphically — no
         decryption: the accept decision was already made and anchored,
         and decisions depend only on decrypted *sums*, so the fresh
         ciphertext randomness changes nothing observable.
         """
+        if not applied:
+            return
         for constraint in self.constraints_for(update):
             group = self._group_key(constraint, update)
             ciphertext, _ = self._encrypt_contribution(constraint, update)
@@ -612,11 +619,14 @@ class ZKPVerifier(BaseVerifier):
                 secrets[tuple(group)] = (total, randomness)
                 commitments[tuple(group)] = PedersenCommitment(value)
 
-    def replay_applied(self, update: Update, now: float) -> None:
-        """Fold a replayed update into the owner-side totals and
-        recommit each — no proof: the accept decision was already made
-        and anchored, and decisions depend only on the totals, so the
-        fresh commitment randomness changes nothing observable."""
+    def replay_decided(self, update: Optional[Update], applied: bool,
+                       now: Optional[float]) -> None:
+        """Fold a replayed applied update into the owner-side totals
+        and recommit each — no proof: the accept decision was already
+        made and anchored, and decisions depend only on the totals, so
+        the fresh commitment randomness changes nothing observable."""
+        if not applied:
+            return
         for constraint in self.constraints_for(update):
             group = self._group_key(constraint, update)
             secrets = self._secret_state[constraint.constraint_id]
@@ -760,11 +770,13 @@ class DPIndexVerifier(BaseVerifier):
             tuple(group): total for group, total in state["noisy_totals"]
         }
 
-    def replay_applied(self, update: Update, now: float) -> None:
-        """Refused: WAL replay cannot re-derive the refresh charges the
-        crashed process paid, including those spent deciding updates it
-        rejected, so a replayed engine would hand budget back.  Recover
-        a DP-index framework from a snapshot with no WAL tail."""
+    def replay_decided(self, update: Optional[Update], applied: bool,
+                       now: Optional[float]) -> None:
+        """Refused, for every decision: WAL replay cannot re-derive the
+        refresh charges the crashed process paid, including those spent
+        deciding updates it rejected, so a replayed engine would hand
+        budget back.  Recover a DP-index framework from a snapshot with
+        no WAL tail."""
         raise EngineError(
             "dp-index engine cannot replay logged updates: their privacy "
             "charges are not in the WAL — recover from a snapshot"

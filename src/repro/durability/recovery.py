@@ -171,19 +171,19 @@ class RecoveryManager:
         for payload in payloads:
             staged = pending.pop(payload["update_id"], None)
             applied = payload["status"] == "applied"
+            update, now = staged if staged is not None else (None, None)
             if applied:
                 if staged is None:
                     raise WalCorruptionError(
                         f"anchor at LSN {lsn} covers applied update "
                         f"{payload['update_id']!r} with no update record"
                     )
-                update, now = staged
                 update.mark_verified()
                 framework._apply(update)
                 update.mark_applied()
-                if engine is not None:
-                    engine.replay_applied(update, now)
                 report.replayed_updates += 1
+            if engine is not None:
+                engine.replay_decided(update, applied, now)
             framework._submitted_count += 1
             if applied:
                 framework._applied_count += 1

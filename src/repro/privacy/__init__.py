@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from repro.privacy.continual import BinaryTreeCounter, NaiveContinualCounter
     from repro.privacy.oram import PathORAM, ObliviousKV
     from repro.privacy.psi import PSIParty, PSICoordinator
-    from repro.privacy.replicated_registry import ReplicatedSpendRegistry
     from repro.privacy.sse import SSEClient, SSEServer
 
 __getattr__, __dir__ = lazy_exports(globals(), {
@@ -53,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.privacy.continual": ("BinaryTreeCounter", "NaiveContinualCounter"),
     "repro.privacy.oram": ("PathORAM", "ObliviousKV"),
     "repro.privacy.psi": ("PSIParty", "PSICoordinator"),
-    "repro.privacy.replicated_registry": ("ReplicatedSpendRegistry",),
     "repro.privacy.sse": ("SSEClient", "SSEServer"),
 })
 
@@ -81,7 +79,6 @@ __all__ = [
     "ObliviousKV",
     "PSIParty",
     "PSICoordinator",
-    "ReplicatedSpendRegistry",
     "SSEClient",
     "SSEServer",
 ]

@@ -8,11 +8,21 @@ from repro.core.contexts import (
     public_database,
     single_private_database,
 )
-from repro.core.separ import SeparSystem, WEEK_SECONDS
+from repro.core.federated import TokenVerifier
+from repro.core.framework import PReVer
+from repro.core.separ import ISSUER_UNAVAILABLE, SeparSystem, WEEK_SECONDS
+from repro.core.verifiers import EngineError
 from repro.database.engine import Database
 from repro.database.expr import lit
 from repro.database.schema import ColumnType, TableSchema
-from repro.model.constraints import Constraint, ConstraintKind, upper_bound_regulation
+from repro.model.constraints import (
+    AggregateSpec,
+    Comparison,
+    Constraint,
+    ConstraintKind,
+    lower_bound_regulation,
+    upper_bound_regulation,
+)
 from repro.model.update import Update, UpdateOperation
 
 
@@ -122,9 +132,55 @@ def test_separ_no_platform_sees_worker_identity():
     system.complete_task("w", "uber", 10)
     system.complete_task("w", "lyft", 10)
     for platform in system.platforms.values():
-        rows = platform.database.table("tasks").rows()
+        rows = platform.tasks.rows()
         assert all(row["pseudonym"] != "w" for row in rows)
         assert "w" not in str(platform.observed_serials)
+
+
+def test_separ_platform_shards_hold_no_worker_name(tmp_path, monkeypatch):
+    """Every platform shard's rows, anchored ledger payloads and WAL
+    records carry weekly pseudonyms only — and so does everything
+    ordered on the shared blockchain.  The names use letters that no
+    hex pseudonym or serial can contain by chance."""
+    from repro.common.serialization import canonical_json
+    from repro.core import separ as separ_module
+    from repro.durability import Durability
+
+    replicas = iter(range(100))
+
+    def durable_platform(databases, **kwargs):
+        directory = tmp_path / f"replica-{next(replicas)}"
+        return PReVer(databases, durability=Durability.wal(str(directory)),
+                      **kwargs)
+
+    monkeypatch.setattr(separ_module, "PReVer", durable_platform)
+    system = SeparSystem(["uber", "lyft"], weekly_hour_cap=10)
+    names = ["zoltan-qx", "yvonne-kz"]
+    for name in names:
+        system.register_worker(name)
+    for name in names:
+        assert system.complete_task(name, "uber", 6).accepted
+        assert system.complete_task(name, "lyft", 4).accepted
+        assert not system.complete_task(name, "lyft", 1).accepted
+    system.coordinator.close()
+
+    held = []
+    for platform in system.platforms.values():
+        for replica in platform.shard.replicas:
+            held.append(canonical_json(replica.databases[0].table(
+                platform.table).rows()))
+            held.extend(canonical_json(e.payload)
+                        for e in replica.ledger.entries())
+    wal_files = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert len(list(tmp_path.iterdir())) == 4  # 2 platforms x 2 replicas
+    held.extend(path.read_bytes().decode("latin-1") for path in wal_files)
+    held.extend(canonical_json(e.payload)
+                for e in system.coordinator.escalation_ledger.entries())
+    for cluster in system.blockchain.shards.values():
+        held.extend(canonical_json(value) for value in cluster.committed())
+    assert sum("task-" in text for text in held) > 4
+    for name in names:
+        assert not any(name in text for text in held)
 
 
 def test_separ_weekly_reset():
@@ -159,6 +215,49 @@ def test_separ_authority_single_point_of_failure():
     result = system.complete_task("w", "uber", 5)
     assert not result.accepted
     assert result.reason == "authority unavailable"
+    # The rejection is decided and anchored coordinator-side, naming
+    # the issuer rather than the cap.
+    anchored = system.coordinator.escalation_ledger.entry(0).payload
+    assert anchored["decision"]["failed_constraint"] == ISSUER_UNAVAILABLE
+    system.authority_offline = False
+    assert system.complete_task("w", "uber", 5).accepted
+
+
+def test_separ_offline_authority_halts_issuance_not_spending():
+    """Tokens the worker already holds still pay while the authority
+    is down; only a task that needs new tokens is refused."""
+    system = separ()
+    worker = system.workers["w"]
+    worker.wallet.request_tokens(system.authority, 0, 8)
+    system.authority_offline = True
+    assert system.complete_task("w", "uber", 5).accepted
+    result = system.complete_task("w", "lyft", 4)
+    assert not result.accepted
+    assert result.reason == "authority unavailable"
+    assert system.complete_task("w", "lyft", 3).accepted
+    assert system.hours_worked("w") == 8
+
+
+def test_separ_token_mechanism_accepts_only_bound_constraints():
+    """The paper's generalization gap: tokens enforce COUNT/SUM upper
+    bounds; anything richer is refused before it can be registered."""
+    system = separ()
+    tables = tuple(p.table for p in system.platforms.values())
+    average = Constraint(
+        name="mean-task", kind=ConstraintKind.REGULATION,
+        aggregate=AggregateSpec(func="AVG", column="hours",
+                                match_columns=("pseudonym",)),
+        comparison=Comparison.LE, bound=8, tables=tables,
+    )
+    with pytest.raises(EngineError, match="COUNT/SUM"):
+        system.coordinator.register_cross_shard_constraint(
+            average, TokenVerifier(average))
+    minimum = lower_bound_regulation("minimum", tables[0], "hours", 10,
+                                     ["pseudonym"])
+    minimum.tables = tables
+    with pytest.raises(EngineError, match="upper bounds"):
+        system.coordinator.register_cross_shard_constraint(
+            minimum, TokenVerifier(minimum))
 
 
 def test_separ_collusion_view_pools_only_pseudonym_counts():

@@ -515,7 +515,7 @@ def test_recovery_equivalence(tmp_path, engine, mode):
 
 def test_recovered_engine_decides_like_the_process_that_crashed(tmp_path):
     """Apply failures count in neither: the live Paillier engine's
-    running total and the one ``replay_applied`` rebuilds agree on the
+    running total and the one ``replay_decided`` rebuilds agree on the
     next decision."""
     durability = Durability.wal(durable_dir(tmp_path))
     live, _ = build(engine="paillier", durability=durability, bound=10)
@@ -562,6 +562,20 @@ def test_dp_index_wal_replay_refuses(tmp_path):
     assert live.submit(make_update(0)).applied
     live.close()
     recovered, _ = build(engine="dp-index", durability=durability)
+    with pytest.raises(EngineError, match="privacy charges"):
+        recovered.recover()
+
+
+def test_dp_index_wal_replay_refuses_a_rejected_only_tail(tmp_path):
+    """Deciding a rejection also spends budget, and the WAL holds no
+    update record for it: a tail of rejections alone must fail closed
+    too, not recover with the budget handed back."""
+    durability = Durability.wal(durable_dir(tmp_path))
+    live, _ = build(engine="dp-index", durability=durability, bound=5)
+    assert not live.submit(make_update(0, co2=10)).applied
+    assert live.engine.index.accountant.spent > 0
+    live.close()
+    recovered, _ = build(engine="dp-index", durability=durability, bound=5)
     with pytest.raises(EngineError, match="privacy charges"):
         recovered.recover()
 

@@ -173,6 +173,37 @@ def test_separ_platform_replaying_spent_token_is_caught():
         system.registry.spend(replayed, "lyft")
 
 
+def test_separ_worker_reusing_spent_tokens_is_rejected():
+    """A cheating worker client that hands its already-spent tokens to
+    a second platform: the coordinator's token check refuses the task
+    as a double spend, anchors the rejection, and no hours count."""
+    from repro.core.separ import SeparSystem
+    from repro.privacy.tokens import DoubleSpendError
+
+    system = SeparSystem(["uber", "lyft"], weekly_hour_cap=40)
+    wallet = system.register_worker("w").wallet
+    spent = []
+    honest_take = wallet.take
+
+    def replaying_take(period, count):
+        if spent:
+            return spent[:count]
+        spent.extend(honest_take(period, count))
+        return list(spent)
+
+    wallet.take = replaying_take
+    assert system.complete_task("w", "uber", 2).accepted
+    result = system.complete_task("w", "lyft", 2)
+    assert not result.accepted
+    assert result.reason == "double spend detected"
+    anchored = system.coordinator.escalation_ledger.entry(0).payload
+    assert anchored["decision"]["failed_constraint"] == "token-double-spend"
+    assert system.hours_worked("w") == 2
+    assert system.registry.total_spent() == 2
+    with pytest.raises(DoubleSpendError):
+        system.registry.spend(spent[0], "lyft")
+
+
 # -- crash injection in the durable pipeline ----------------------------------
 
 def _durable_framework(tmp_path, crash_after=None):

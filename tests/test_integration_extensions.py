@@ -84,7 +84,7 @@ def test_separ_with_all_extensions():
     parties = [
         PSIParty(name, {
             row["pseudonym"]
-            for row in platform.database.table("tasks").rows()
+            for row in platform.tasks.rows()
         })
         for name, platform in system.platforms.items()
     ]
