@@ -2,8 +2,6 @@
 
 * A1 — Paillier CRT decryption vs the textbook path (the standard ~4x
   optimization the implementation carries);
-* A2 — blockchain block size: batching amortizes consensus cost but
-  delays finality;
 * A3 — centralized vs distributed token issuance (the Separ
   future-work feature): the price of removing the trusted party;
 * A4 — auditor strategy: incremental consistency proofs vs naive full
@@ -12,7 +10,6 @@
 
 import pytest
 
-from repro.chain.blockchain import PermissionedBlockchain
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.audit import LedgerAuditor
 from repro.ledger.central import CentralLedger
@@ -38,22 +35,6 @@ def test_paillier_decrypt_crt(benchmark, paillier_keys):
         lambda: paillier_keys.private_key.decrypt_crt(ciphertext),
         rounds=10, iterations=3,
     )
-
-
-# -- A2: block size ----------------------------------------------------------------
-
-@pytest.mark.parametrize("block_size", [1, 10, 50])
-def test_block_size_ablation(benchmark, block_size):
-    def run():
-        chain = PermissionedBlockchain(block_size=block_size)
-        for i in range(50):
-            chain.submit_public({"v": i})
-        chain.process()
-        chain.flush()
-        assert chain.verify_chain()
-        return chain.height
-
-    benchmark.pedantic(run, rounds=2, iterations=1)
 
 
 # -- A3: centralized vs distributed issuance ------------------------------------------

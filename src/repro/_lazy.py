@@ -2,8 +2,8 @@
 
 Every ``repro`` package re-exports its public names, and doing that
 eagerly made ``import repro.core.framework`` load the whole tree — the
-blockchain, both consensus protocols, every privacy mechanism, an HTTP
-server, ``multiprocessing`` — before the first update.  A package now
+sharded ledger, both consensus protocols, every privacy mechanism, an
+HTTP server, ``multiprocessing`` — before the first update.  A package now
 declares *where* each public name lives and resolves it on first
 attribute access (PEP 562), so a process imports what it uses.
 """

@@ -107,14 +107,13 @@ class TokenVerifier(BaseVerifier):
             except TokenError:
                 return self._outcome(False, failed=self.constraint.constraint_id)
             platform = update.managers[0] if update.managers else "platform"
-            spent = []
             try:
-                for token in tokens:
-                    self.registry.spend(token, platform)
-                    spent.append(token.serial)
-                    self._observe(("serial", token.serial))
+                self.registry.spend(tokens, platform)
             except DoubleSpendError:
                 return self._outcome(False, failed="token-double-spend")
+        spent = [token.serial for token in tokens]
+        for serial in spent:
+            self._observe(("serial", serial))
         self.metrics.counter("token.spent").add(units)
         return self._outcome(True, serials=spent, period=period)
 

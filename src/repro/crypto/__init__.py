@@ -8,8 +8,6 @@ this package provides working implementations of each building block:
   signatures and sigma protocols;
 * Paillier additively homomorphic encryption (RC1: compute on
   encrypted data);
-* exponential ElGamal (additively homomorphic in the exponent, used
-  where rerandomizable ciphertexts are convenient);
 * Pedersen commitments and Schnorr signatures;
 * RSA and RSA blind signatures (RC2: unlinkable single-use tokens);
 * Shamir and additive secret sharing plus Beaver triples (RC2: MPC);
@@ -42,7 +40,6 @@ if TYPE_CHECKING:
         PaillierCiphertext,
         generate_paillier_keypair,
     )
-    from repro.crypto.elgamal import ElGamalKeyPair, generate_elgamal_keypair
     from repro.crypto.commitments import PedersenCommitter, PedersenCommitment
     from repro.crypto.signatures import SchnorrSigner, SchnorrVerifier, SchnorrSignature
     from repro.crypto.rsa import RSAKeyPair, generate_rsa_keypair
@@ -68,7 +65,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "PaillierKeyPair", "PaillierPublicKey", "PaillierPrivateKey",
         "PaillierCiphertext", "generate_paillier_keypair",
     ),
-    "repro.crypto.elgamal": ("ElGamalKeyPair", "generate_elgamal_keypair"),
     "repro.crypto.commitments": ("PedersenCommitter", "PedersenCommitment"),
     "repro.crypto.signatures": (
         "SchnorrSigner", "SchnorrVerifier", "SchnorrSignature",
@@ -98,8 +94,6 @@ __all__ = [
     "PaillierPrivateKey",
     "PaillierCiphertext",
     "generate_paillier_keypair",
-    "ElGamalKeyPair",
-    "generate_elgamal_keypair",
     "PedersenCommitter",
     "PedersenCommitment",
     "SchnorrSigner",

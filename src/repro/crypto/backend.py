@@ -14,8 +14,8 @@ this module, which provides three things:
 
 2. **Fixed-base windowed exponentiation** (:class:`FixedBaseTable`,
    :func:`fixed_base`).  For a long-lived base (a Schnorr group
-   generator, a cached public key, an ElGamal ``y``) a one-time table
-   of ``base^(d << w*i)`` turns every subsequent exponentiation into
+   generator, a cached public key) a one-time table of
+   ``base^(d << w*i)`` turns every subsequent exponentiation into
    ~``bits/window`` modular multiplications with *no squarings* —
    measurably faster than CPython's C ``pow`` even from pure python
    (~3-5x at 256 bits with the default window).  Tables live in a

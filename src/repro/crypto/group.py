@@ -1,9 +1,9 @@
 """A Schnorr group: the prime-order subgroup of Z_p* for p = 2q + 1.
 
-Pedersen commitments, Schnorr signatures, exponential ElGamal and the
-sigma protocols all operate in this group.  A group object carries
-(p, q, g) plus helpers for sampling exponents and finding independent
-generators (for Pedersen's second base ``h``).
+Pedersen commitments, Schnorr signatures and the sigma protocols all
+operate in this group.  A group object carries (p, q, g) plus helpers
+for sampling exponents and finding independent generators (for
+Pedersen's second base ``h``).
 """
 
 from dataclasses import dataclass
@@ -79,8 +79,8 @@ class SchnorrGroup:
         """``g ** (exponent mod q) mod p`` via a warm fixed-base table.
 
         The generator is the hottest base in the system (every
-        signature, commitment, and ElGamal encryption raises it), so
-        its table is built eagerly and shared per process through the
+        signature and commitment raises it), so its table is built
+        eagerly and shared per process through the
         :func:`repro.crypto.backend.fixed_base` cache — value-identical
         to :meth:`power` with ``base=g``.
         """

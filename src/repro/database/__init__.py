@@ -3,8 +3,7 @@
 PReVer is a framework *over* databases, so the reproduction needs a
 real (if small) relational engine to regulate: typed schemas, tables
 with primary keys and secondary indexes, an expression AST shared with
-the constraint language, aggregate queries with grouping, and an
-encrypted-column store for the RC1 outsourced setting.
+the constraint language, and aggregate queries with grouping.
 """
 
 from typing import TYPE_CHECKING
@@ -27,7 +26,6 @@ if TYPE_CHECKING:
     )
     from repro.database.table import Table
     from repro.database.engine import Database
-    from repro.database.encrypted import EncryptedTable, ColumnEncryption
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.database.schema": ("Column", "ColumnType", "TableSchema"),
@@ -37,7 +35,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.database.table": ("Table",),
     "repro.database.engine": ("Database",),
-    "repro.database.encrypted": ("EncryptedTable", "ColumnEncryption"),
 })
 
 __all__ = [
@@ -56,6 +53,4 @@ __all__ = [
     "update_field",
     "Table",
     "Database",
-    "EncryptedTable",
-    "ColumnEncryption",
 ]

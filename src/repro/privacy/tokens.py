@@ -15,7 +15,7 @@ across periods).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import ConstraintViolation, PReVerError, PrivacyError
 from repro.common.ids import make_id
@@ -149,11 +149,11 @@ class TokenWallet:
 class SpendRegistry:
     """The shared spent-token state (on a ledger for integrity).
 
-    Platforms verify a token's signature, then attempt to record its
-    serial; a repeat raises :class:`DoubleSpendError`.  In the
-    federated deployment this ledger is the replicated blockchain
-    state (see ``repro.core.separ``); here it wraps a
-    :class:`CentralLedger` so every spend is auditable.
+    Platforms hand over one update's tokens at a time; the registry
+    records them all or none, and a repeated serial raises
+    :class:`DoubleSpendError`.  In the federated deployment this ledger
+    is the replicated blockchain state (see ``repro.core.separ``); here
+    it wraps a :class:`CentralLedger` so every spend is auditable.
     """
 
     def __init__(self, authority_key: RSAPublicKey,
@@ -163,21 +163,30 @@ class SpendRegistry:
         self._spent: Set[str] = set()
         self._spends_by_period: Dict[int, List[str]] = {}
 
-    def spend(self, token: Token, platform: str) -> None:
-        if not self.authority_key.verify(token.message(), token.signature):
-            raise TokenError("invalid token signature")
-        if token.serial in self._spent:
-            raise DoubleSpendError(token.serial)
-        self._spent.add(token.serial)
-        self._spends_by_period.setdefault(token.period, []).append(token.pseudonym)
-        self.ledger.append(
-            {
-                "serial": token.serial,
-                "period": token.period,
-                "pseudonym": token.pseudonym,
-                "platform": platform,
-            }
-        )
+    def spend(self, tokens: Sequence[Token], platform: str) -> None:
+        """Record ``tokens`` as spent, all or none: every signature, and
+        every serial against the registry and the rest of the set, is
+        checked before the first one is recorded."""
+        serials: Set[str] = set()
+        for token in tokens:
+            if not self.authority_key.verify(token.message(), token.signature):
+                raise TokenError("invalid token signature")
+            if token.serial in self._spent or token.serial in serials:
+                raise DoubleSpendError(token.serial)
+            serials.add(token.serial)
+        for token in tokens:
+            self._spent.add(token.serial)
+            self._spends_by_period.setdefault(token.period, []).append(
+                token.pseudonym
+            )
+            self.ledger.append(
+                {
+                    "serial": token.serial,
+                    "period": token.period,
+                    "pseudonym": token.pseudonym,
+                    "platform": platform,
+                }
+            )
 
     def spend_count(self, period: int, pseudonym: str) -> int:
         return sum(

@@ -1,92 +1,10 @@
-"""Permissioned blockchain, SharPer sharding, Qanaat collaborations."""
+"""SharPer sharding and Qanaat collaborations."""
 
 import pytest
 
-from repro.chain.blockchain import PermissionedBlockchain, Transaction
 from repro.chain.qanaat import QanaatNetwork
 from repro.chain.sharper import ShardedLedger
 from repro.common.errors import IntegrityError, PrivacyError, ProtocolError
-
-
-# -- permissioned blockchain -----------------------------------------------------
-
-def chain(block_size=4):
-    return PermissionedBlockchain(block_size=block_size)
-
-
-def test_blocks_cut_at_block_size():
-    bc = chain(block_size=3)
-    for i in range(7):
-        bc.submit_public({"v": i})
-    bc.process()
-    assert bc.height == 2  # 6 txs in 2 blocks, 1 pending
-    last = bc.flush()
-    assert last is not None and bc.height == 3
-
-
-def test_chain_hash_links_and_verification():
-    bc = chain(block_size=2)
-    for i in range(4):
-        bc.submit_public({"v": i})
-    bc.process()
-    assert bc.verify_chain()
-    assert bc.block(1).prev_hash == bc.block(0).block_hash()
-
-
-def test_chain_detects_block_tampering():
-    bc = chain(block_size=2)
-    for i in range(4):
-        bc.submit_public({"v": i})
-    bc.process()
-    from dataclasses import replace
-
-    tampered = replace(bc.block(0), tx_root=b"\x00" * 32)
-    bc._blocks[0] = tampered
-    assert not bc.verify_chain()
-
-
-def test_transaction_inclusion_proof():
-    bc = chain(block_size=4)
-    for i in range(4):
-        bc.submit_public({"v": i})
-    bc.process()
-    tx, proof = bc.prove_transaction(0, 2)
-    assert PermissionedBlockchain.verify_transaction(bc.block(0), tx, proof)
-    fake = Transaction(tx_id="tx-fake", channel="main", payload={"v": 99})
-    assert not PermissionedBlockchain.verify_transaction(bc.block(0), fake, proof)
-
-
-def test_private_collection_membership_enforced():
-    bc = chain()
-    bc.create_collection("deal", {"acme", "globex"})
-    tx = bc.submit_private("deal", {"price": 42})
-    collection = bc.collections["deal"]
-    assert collection.get("acme", tx.private_hash) == {"price": 42}
-    with pytest.raises(PrivacyError):
-        collection.get("initech", tx.private_hash)
-
-
-def test_private_payload_hash_matches_chain():
-    bc = chain(block_size=1)
-    bc.create_collection("deal", {"acme"})
-    tx = bc.submit_private("deal", {"price": 42})
-    bc.process()
-    on_chain = bc.block(0).transactions[0]
-    assert on_chain.private_hash == tx.private_hash
-    assert on_chain.payload is None  # content never on chain
-    assert bc.collections["deal"].verify_against_chain(on_chain.private_hash)
-
-
-def test_duplicate_collection_rejected():
-    bc = chain()
-    bc.create_collection("x", {"a"})
-    with pytest.raises(IntegrityError):
-        bc.create_collection("x", {"a"})
-
-
-def test_submit_private_unknown_collection():
-    with pytest.raises(IntegrityError):
-        chain().submit_private("nope", {})
 
 
 # -- SharPer sharding ---------------------------------------------------------------

@@ -1,13 +1,7 @@
-"""Schnorr group and exponential ElGamal."""
+"""The Schnorr group (prime-order subgroup of Z_p*)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.crypto.elgamal import (
-    ElGamalError,
-    discrete_log_bounded,
-    generate_elgamal_keypair,
-)
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.numbers import is_probable_prime
 
@@ -87,44 +81,3 @@ def test_generate_small_group():
     assert small.is_member(small.g)
     assert small.power(small.g, small.q) == 1
 
-
-def test_elgamal_roundtrip(group):
-    keys = generate_elgamal_keypair(group)
-    for m in (0, 1, 17, 999):
-        ct = keys.public_key.encrypt(m)
-        assert keys.private_key.decrypt(ct, max_plaintext=1000) == m
-
-
-@given(a=st.integers(min_value=0, max_value=400),
-       b=st.integers(min_value=0, max_value=400))
-@settings(max_examples=15, deadline=None)
-def test_elgamal_additive_homomorphism(group, a, b):
-    keys = generate_elgamal_keypair(group)
-    ct = keys.public_key.encrypt(a) + keys.public_key.encrypt(b)
-    assert keys.private_key.decrypt(ct, max_plaintext=800) == a + b
-
-
-def test_elgamal_scalar(group):
-    keys = generate_elgamal_keypair(group)
-    ct = keys.public_key.encrypt(6) * 7
-    assert keys.private_key.decrypt(ct, max_plaintext=100) == 42
-
-
-def test_elgamal_rerandomize(group):
-    keys = generate_elgamal_keypair(group)
-    ct = keys.public_key.encrypt(5)
-    ct2 = keys.public_key.rerandomize(ct)
-    assert (ct2.c1, ct2.c2) != (ct.c1, ct.c2)
-    assert keys.private_key.decrypt(ct2, 10) == 5
-
-
-def test_elgamal_bounded_dlog_raises_beyond_bound(group):
-    keys = generate_elgamal_keypair(group)
-    ct = keys.public_key.encrypt(500)
-    with pytest.raises(ElGamalError):
-        keys.private_key.decrypt(ct, max_plaintext=100)
-
-
-def test_discrete_log_bounded_exact(group):
-    target = group.power(group.g, 1234)
-    assert discrete_log_bounded(group, target, 2000) == 1234

@@ -5,12 +5,6 @@ import pytest
 from repro.common.metrics import MetricsRegistry, Timer
 from repro.consensus.base import ClusterStats, ConsensusResult, compute_stats
 from repro.crypto.paillier import generate_paillier_keypair
-from repro.database.encrypted import (
-    ColumnEncryption,
-    EncryptedStoreError,
-    EncryptedTable,
-    EncryptionScheme,
-)
 from repro.database.engine import Database
 from repro.database.schema import ColumnType, TableSchema
 from repro.net.simnet import Message, Node, SimNetwork
@@ -97,47 +91,6 @@ def test_per_message_cost_defers_but_delivers_all():
     assert len(b.received) == 5
     # Serial processing: at least 4 * 10ms of busy time elapsed.
     assert net.clock.now() >= 0.04
-
-
-# -- encrypted store edges ----------------------------------------------------------
-
-def salary_schema():
-    return TableSchema.build(
-        "s", [("emp", ColumnType.TEXT), ("salary", ColumnType.INT)],
-        primary_key=["emp"],
-    )
-
-
-def test_insert_encrypted_rejects_non_ciphertext_ahe_cell():
-    enc = ColumnEncryption(
-        schemes={"salary": EncryptionScheme.AHE}, master_key=b"k" * 32
-    )
-    table = EncryptedTable(salary_schema(), enc)
-    with pytest.raises(EncryptedStoreError):
-        table.insert_encrypted({"emp": "a", "salary": 12345})
-
-
-def test_encrypted_sum_empty_table_is_none():
-    enc = ColumnEncryption(
-        schemes={"salary": EncryptionScheme.AHE}, master_key=b"k" * 32
-    )
-    table = EncryptedTable(salary_schema(), enc)
-    assert table.encrypted_sum("salary") is None
-
-
-def test_nullable_ahe_cells_skipped_in_sum():
-    schema = TableSchema.build(
-        "s", [("emp", ColumnType.TEXT), ("salary", ColumnType.INT)],
-        primary_key=["emp"], nullable=["salary"],
-    )
-    enc = ColumnEncryption(
-        schemes={"salary": EncryptionScheme.AHE}, master_key=b"k" * 32
-    )
-    table = EncryptedTable(schema, enc)
-    table.insert_plain({"emp": "a", "salary": 10})
-    table.insert_plain({"emp": "b", "salary": None})
-    total = table.encrypted_sum("salary")
-    assert enc.paillier.private_key.decrypt_signed(total) == 10
 
 
 # -- DP edges ----------------------------------------------------------------------
@@ -227,26 +180,3 @@ def test_update_to_dict_shape():
     assert as_dict["operation"] == "delete"
     assert as_dict["key"] == [1]
     assert as_dict["status"] == "pending"
-
-
-def test_blockchain_process_skips_consensus_noops():
-    """View-change no-ops in the ordered log must not become block
-    transactions."""
-    from repro.chain.blockchain import PermissionedBlockchain
-
-    chain = PermissionedBlockchain(block_size=2)
-    chain.submit_public({"v": 1})
-    chain.cluster.run()
-    # Inject a PBFT-style noop into every replica's decided log at the
-    # next slot, as a view change would.
-    for node in chain.cluster.nodes:
-        node.log.decide(1, {"noop": 1, "view": 1})
-    chain.submit_public({"v": 2})
-    chain.process()
-    block = chain.flush()
-    all_txs = [
-        tx for h in range(chain.height)
-        for tx in chain.block(h).transactions
-    ]
-    assert len(all_txs) == 2
-    assert all(tx.payload and "noop" not in tx.payload for tx in all_txs)

@@ -170,7 +170,7 @@ def test_separ_platform_replaying_spent_token_is_caught():
         signature=0,  # the platform never saw the signature... forge fails
     )
     with pytest.raises(Exception):
-        system.registry.spend(replayed, "lyft")
+        system.registry.spend([replayed], "lyft")
 
 
 def test_separ_worker_reusing_spent_tokens_is_rejected():
@@ -201,7 +201,45 @@ def test_separ_worker_reusing_spent_tokens_is_rejected():
     assert system.hours_worked("w") == 2
     assert system.registry.total_spent() == 2
     with pytest.raises(DoubleSpendError):
-        system.registry.spend(spent[0], "lyft")
+        system.registry.spend(spent[:1], "lyft")
+
+
+@pytest.mark.parametrize("handed", ["fresh-then-spent", "fresh-twice"])
+def test_separ_rejected_token_set_spends_none_of_its_tokens(handed):
+    """A cheating worker client that pays for a task with one fresh
+    token plus a spent one (or the fresh one twice): the task is
+    rejected as a double spend, and the fresh token is not recorded
+    either — spends, the pseudonym's spend count and hours all read as
+    before the attempt."""
+    from repro.core.separ import SeparSystem
+
+    system = SeparSystem(["uber", "lyft"], weekly_hour_cap=40)
+    worker = system.register_worker("w")
+    spent = []
+    honest_take = worker.wallet.take
+
+    def mixing_take(period, count):
+        if not spent:
+            spent.extend(honest_take(period, count))
+            return list(spent)
+        fresh = honest_take(period, 1)
+        again = spent if handed == "fresh-then-spent" else fresh
+        return fresh + again[:count - 1]
+
+    worker.wallet.take = mixing_take
+    assert system.complete_task("w", "uber", 2).accepted
+    period = system.current_period()
+
+    def books():
+        return (system.registry.total_spent(),
+                system.registry.spend_count(period, worker.pseudonym(period)),
+                system.hours_worked("w"))
+
+    assert books() == (2, 2, 2)
+    result = system.complete_task("w", "lyft", 2)
+    assert not result.accepted
+    assert result.reason == "double spend detected"
+    assert books() == (2, 2, 2)
 
 
 # -- crash injection in the durable pipeline ----------------------------------

@@ -17,7 +17,6 @@ from repro import (
     single_private_database,
     federated_private_databases,
 )
-from repro.chain.blockchain import PermissionedBlockchain
 from repro.core.separ import SeparSystem
 from repro.ledger.audit import LedgerAuditor
 from repro.workloads.ycsb import YCSBOperation, YCSBWorkload
@@ -108,31 +107,6 @@ def test_separ_anchored_on_blockchain_with_integrity_check():
     assert counts == {"uber": 2, "lyft": 1, "coordinator": 1}
     # The spend ledger is auditable and consistent.
     assert LedgerAuditor().audit(system.registry.ledger).ok
-
-
-def test_blockchain_anchoring_of_framework_decisions():
-    """RC4-federated: decision records as blockchain transactions with
-    inclusion proofs a light client can check."""
-    chain = PermissionedBlockchain(block_size=4)
-    schema = TableSchema.build(
-        "events", [("id", ColumnType.INT), ("v", ColumnType.INT)],
-        primary_key=["id"],
-    )
-    db = Database("d")
-    db.create_table(schema)
-    framework = PReVer([db])
-    for i in range(8):
-        result = framework.submit(Update(
-            table="events", operation=UpdateOperation.INSERT,
-            payload={"id": i, "v": i},
-        ))
-        chain.submit_public({"decision": result.outcome.to_dict(),
-                             "ledger_seq": result.ledger_sequence})
-    chain.process()
-    chain.flush()
-    assert chain.verify_chain()
-    tx, proof = chain.prove_transaction(0, 1)
-    assert PermissionedBlockchain.verify_transaction(chain.block(0), tx, proof)
 
 
 def test_ycsb_over_regulated_pipeline_vs_plain_database():

@@ -60,10 +60,9 @@ def test_spend_and_double_spend(authority):
     w.request_tokens(authority, period=6, count=3)
     registry = SpendRegistry(authority.public_key)
     tokens = w.take(6, 2)
-    for token in tokens:
-        registry.spend(token, "uber")
+    registry.spend(tokens, "uber")
     with pytest.raises(DoubleSpendError):
-        registry.spend(tokens[0], "lyft")
+        registry.spend(tokens[:1], "lyft")
     assert registry.total_spent(6) == 2
     assert len(registry.ledger) == 2
 
@@ -72,7 +71,7 @@ def test_forged_token_rejected(authority):
     registry = SpendRegistry(authority.public_key)
     forged = Token(serial="00" * 32, period=1, pseudonym="p", signature=12345)
     with pytest.raises(TokenError):
-        registry.spend(forged, "uber")
+        registry.spend([forged], "uber")
 
 
 def test_pseudonym_stable_within_period_rotates_across(authority):
@@ -90,8 +89,7 @@ def test_lower_bound_counting(authority):
     w = wallet(authority, "ivy")
     w.request_tokens(authority, period=7, count=5)
     registry = SpendRegistry(authority.public_key)
-    for token in w.take(7, 4):
-        registry.spend(token, "uber")
+    registry.spend(w.take(7, 4), "uber")
     pseudonym = w.pseudonym_for(7)
     assert registry.spend_count(7, pseudonym) == 4
     assert registry.check_lower_bound(7, pseudonym, 4)

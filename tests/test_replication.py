@@ -418,6 +418,25 @@ def test_bare_driver_releases_propose_start_times():
     driver.close()
 
 
+def test_pbft_driver_stream_skips_view_change_noops():
+    """A view-change no-op decided in the cluster log is protocol
+    filler: the decided stream holds only the proposed batches, densely
+    numbered."""
+    driver = PbftDriver()
+    driver.propose_batch({"updates": [{"n": 1}]})
+    # Decide a no-op at the next slot in every node's log, as a view
+    # change would.
+    for node in driver.cluster.nodes:
+        node.log.decide(1, {"noop": 1, "view": 1})
+    driver.propose_batch({"updates": [{"n": 2}]})
+    stream = list(driver.committed_stream())
+    assert [batch.payload for batch in stream] == [
+        {"updates": [{"n": 1}]}, {"updates": [{"n": 2}]},
+    ]
+    assert [batch.sequence for batch in stream] == [0, 1]
+    driver.close()
+
+
 def test_catch_up_rejects_gapped_prefix():
     shard = ReplicatedShard(build_plaintext, replicas=1,
                             driver=LocalDriver(), name="g")

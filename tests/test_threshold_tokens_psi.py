@@ -34,8 +34,7 @@ def test_tokens_spend_normally(authority):
     wallet = TokenWallet("bob", authority.public_key)
     wallet.request_tokens(authority, period=2, count=2)
     registry = SpendRegistry(authority.public_key)
-    for token in wallet.take(2, 2):
-        registry.spend(token, "uber")
+    registry.spend(wallet.take(2, 2), "uber")
     assert registry.total_spent(2) == 2
 
 
